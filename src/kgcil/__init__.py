@@ -33,6 +33,7 @@ from .triplet_text import (
 )
 from .encoders import HashingEncoder, cosine, encoder_from_config, fnv1a_64
 from .inference import (
+    BatchInference,
     EmptyCandidates,
     Prediction,
     VoteTally,
@@ -40,6 +41,7 @@ from .inference import (
     classify,
     encode_candidates,
     infer,
+    infer_batch,
     prediction_record,
     vote_head,
 )

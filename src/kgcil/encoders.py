@@ -9,6 +9,7 @@ texts by token overlap.
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 import numpy as np
 
@@ -46,21 +47,27 @@ class HashingEncoder:
         self.dimension = dimension
         self._buckets: dict[str, int] = {}
 
-    def _bucket(self, token: str) -> int:
-        b = self._buckets.get(token)
-        if b is None:
-            b = fnv1a_64(token.encode("utf-8")) % self.dimension
-            self._buckets[token] = b
-        return b
-
     def encode(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension)
-        for token in _TOKEN_RE.findall(text.lower()):
-            vec[self._bucket(token)] += 1.0
-        norm = np.linalg.norm(vec)
-        if norm:
-            vec /= norm
-        return vec
+        return self.encode_batch([text])[0]
+
+    def encode_batch(self, texts) -> np.ndarray:
+        """One unit-norm (or all-zero) row per text, shape (len(texts), dimension).
+
+        Counts are small integers, so their sum of squares is exact in any
+        summation order and every row is the same bits however many texts
+        share the batch.
+        """
+        n, dim = len(texts), self.dimension
+        tokens = [_TOKEN_RE.findall(text.lower()) for text in texts]
+        flat = list(chain.from_iterable(tokens))
+        for token in set(flat).difference(self._buckets):
+            self._buckets[token] = fnv1a_64(token.encode("utf-8")) % dim
+        cells = np.repeat(np.arange(n, dtype=np.int64) * dim, [len(t) for t in tokens])
+        cells += np.fromiter(map(self._buckets.__getitem__, flat), np.int64, len(flat))
+        out = np.bincount(cells, minlength=n * dim).reshape(n, dim).astype(np.float64)
+        norms = np.sqrt((out * out).sum(axis=1, keepdims=True))
+        np.divide(out, norms, out=out, where=norms > 0)
+        return out
 
     def to_config(self) -> dict:
         return {"id": self.id, "dimension": self.dimension}

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inference import encode_candidates, infer, prediction_record
+from .inference import encode_candidates, infer_batch, prediction_record, vote_texts
 from .simulate import GeneratorConfig, NoAssignment, TextGenerator, baseline_config
 from .store import KnowledgeGraph, normalize_name
 from .taskgraph import TaskSubgraph, UnknownClass, extend_subgraph, render_export
@@ -262,39 +262,37 @@ _WORKER_CTX: dict | None = None
 
 
 def _eval_class(ctx: dict, cname: str) -> dict:
-    """Evaluate samples_per_class generations for one class."""
+    """Evaluate samples_per_class generations for one class as one batch."""
     graph = ctx["graph"]
     gen: TextGenerator = ctx["generator"]
     cid = graph.entities.get(cname)
     session = ctx["session"]
-    correct = 0
-    gen_ms = 0.0
-    timings = {"vote_ms": 0.0, "classify_ms": 0.0}
-    records = [] if ctx["diagnostics"] else None
+    texts = []
+    t0 = time.perf_counter()
     for s in range(ctx["samples"]):
         key = (session, cid, s)
-        t0 = time.perf_counter()
         try:
-            text = gen.generate(cid, key)
+            texts.append(gen.generate(cid, key))
         except NoAssignment:
-            text = gen.baseline_text(cid, key)
-        gen_ms += (time.perf_counter() - t0) * 1000.0
-        pred = infer(text, ctx["subgraph"], ctx["candidates"], ctx["encoder"],
-                     ctx["candidate_vectors"], timings=timings)
-        if pred.final_class == cname:
-            correct += 1
-        if records is not None:
-            rec = prediction_record(text, pred, graph.relations)
+            texts.append(gen.baseline_text(cid, key))
+    gen_ms = (time.perf_counter() - t0) * 1000.0
+    batch = infer_batch(texts, ctx["subgraph"], ctx["candidates"], ctx["encoder"],
+                        ctx["candidate_vectors"])
+    records = None
+    if ctx["diagnostics"]:
+        records = []
+        for s, text in enumerate(texts):
+            rec = prediction_record(text, batch.prediction(s), graph.relations)
             rec.update(order_seed=ctx["order_seed"], session=session,
                        true_class=cname, sample=s)
             records.append(rec)
     return {
         "name": cname,
-        "correct": correct,
+        "correct": sum(batch.final_class(s) == cname for s in range(len(texts))),
         "total": ctx["samples"],
         "generation_ms": gen_ms,
-        "vote_ms": timings["vote_ms"],
-        "classify_ms": timings["classify_ms"],
+        "vote_ms": batch.vote_ms,
+        "classify_ms": batch.classify_ms,
         "records": records,
     }
 
@@ -469,9 +467,6 @@ class BenchReport:
 def bench(graph: KnowledgeGraph, subgraph: TaskSubgraph, n_samples: int = 1000,
           seed: int = 0) -> BenchReport:
     """Per-sample generation and vote latency plus export size for a subgraph."""
-    from .triplet_text import parse_triplets
-    from .inference import vote_head
-
     assigned = [cid for cid, a in subgraph.assignments.items() if a.paths]
     if not assigned or n_samples < 1:
         return BenchReport(n_samples, len(subgraph.assignments), 0.0, 0.0, 0.0, 0.0, 0.0, seed)
@@ -482,8 +477,10 @@ def bench(graph: KnowledgeGraph, subgraph: TaskSubgraph, n_samples: int = 1000,
         texts.append(gen.generate(assigned[i % len(assigned)], (i,)))
     gen_ms = (time.perf_counter() - t0) * 1000.0 / n_samples
     t0 = time.perf_counter()
+    # one text per call: a single call over every text would keep all the
+    # tallies alive and time the garbage collector along with the vote
     for text in texts:
-        vote_head(parse_triplets(text, graph.relations), subgraph)
+        vote_texts([text], subgraph)
     vote_ms = (time.perf_counter() - t0) * 1000.0 / n_samples
     paths = sum(len(a.paths) for a in subgraph.assignments.values())
     return BenchReport(

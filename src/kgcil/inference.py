@@ -4,12 +4,17 @@ The pipeline mirrors how a relational description is turned into a label:
 parsed triplets vote through the exclusive pair registry, the winning class
 name is prepended to the raw text, and the augmented text is ranked against
 candidate class names by cosine similarity.
+
+infer_batch runs the pipeline for many texts at once (the harness sends one
+batch per class): one encode for the batch, then one matrix-vector product
+per text, so a text gets the same bits in a batch as alone.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,23 +74,84 @@ def vote_head(triplets, subgraph: TaskSubgraph) -> tuple[VoteTally, str | None]:
     return tally, tally.best()
 
 
+def vote_texts(texts, subgraph: TaskSubgraph) -> list[tuple[VoteTally, str | None]]:
+    """parse -> vote for each text; the step `kgcil bench` times."""
+    relations = subgraph.graph.relations if subgraph.graph is not None else None
+    return [vote_head(parse_triplets(t, relations) if relations is not None else [], subgraph)
+            for t in texts]
+
+
 def augment_text(raw: str, head_name: str | None) -> str:
     if head_name is None:
         return raw
     return f"{head_name} {raw}" if raw else head_name
 
 
-def _argmax(scores: dict[str, float]) -> tuple[str, bool]:
-    best = min(scores, key=lambda name: (-scores[name], name))
-    top = scores[best]
-    tied = sum(1 for v in scores.values() if v == top) > 1
-    return best, tied
-
-
 def encode_candidates(names, encoder) -> np.ndarray:
-    if not names:
-        return np.zeros((0, encoder.dimension))
-    return np.stack([encoder.encode(n) for n in names])
+    return encoder.encode_batch(list(names))
+
+
+@dataclass
+class BatchInference:
+    """Ranked texts; row i of every field belongs to the i-th text."""
+
+    augmented: list[str]
+    votes: list[tuple[VoteTally | None, str | None]]
+    candidates: tuple[str, ...]  # distinct names, the column order of scores
+    scores: np.ndarray
+    best: np.ndarray  # winning column per row
+    tie: np.ndarray  # the row's top score is shared
+    vote_ms: float = 0.0  # parse + vote, whole batch
+    classify_ms: float = 0.0  # augment + encode + rank, whole batch
+
+    def final_class(self, i: int) -> str:
+        return self.candidates[self.best[i]]
+
+    def prediction(self, i: int) -> Prediction:
+        tally, head = self.votes[i]
+        scores = dict(zip(self.candidates, self.scores[i].tolist()))
+        return Prediction(self.final_class(i), self.augmented[i], scores, bool(self.tie[i]),
+                          graph_head=head, tally=tally)
+
+
+@lru_cache(maxsize=16)
+def _candidate_order(candidates: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[int, ...], np.ndarray]:
+    """Distinct names, the column each keeps (a repeat keeps its last), and their lexicographic rank.
+
+    Cached because every class of a session is ranked against the same list.
+    """
+    last = {name: j for j, name in enumerate(candidates)}
+    order = {name: k for k, name in enumerate(sorted(last))}
+    rank = np.array([order[name] for name in last])
+    rank.flags.writeable = False
+    return tuple(last), tuple(last.values()), rank
+
+
+def rank_rows(texts, vectors, candidates, encoder, candidate_vectors: np.ndarray | None = None,
+              votes=None) -> BatchInference:
+    """Rank encoded texts against the candidates; ties go lexicographic.
+
+    A repeated candidate name keeps its last vector, as a name-keyed score
+    dict would. Scores are filled one matrix-vector product per row, the
+    same operation as `candidate_vectors @ vector`: a single matrix-matrix
+    product sums in another order, moves scores by an ulp and turns exact
+    ties into non-ties.
+    """
+    candidates = tuple(candidates)
+    if not candidates:
+        raise EmptyCandidates("no candidate classes to rank against")
+    if candidate_vectors is None:
+        candidate_vectors = encode_candidates(candidates, encoder)
+    names, columns, rank = _candidate_order(candidates)
+    if len(columns) < len(candidates):
+        candidate_vectors = candidate_vectors[list(columns)]
+    scores = np.empty((len(vectors), len(names)))
+    for i, row in enumerate(vectors):
+        np.matmul(candidate_vectors, row, out=scores[i])
+    tied = scores == scores.max(axis=1, keepdims=True)
+    best = np.where(tied, rank, len(rank)).argmin(axis=1)
+    return BatchInference(list(texts), votes or [(None, None)] * len(texts), names, scores,
+                          best, tied.sum(axis=1) > 1)
 
 
 def classify(text: str, candidates, encoder, candidate_vectors: np.ndarray | None = None) -> Prediction:
@@ -94,40 +160,39 @@ def classify(text: str, candidates, encoder, candidate_vectors: np.ndarray | Non
     candidate_vectors, when given, must be encoder outputs aligned with
     candidates (callers cache them to avoid re-encoding per sample).
     """
-    candidates = list(candidates)
-    if not candidates:
-        raise EmptyCandidates("no candidate classes to rank against")
-    if candidate_vectors is None:
-        candidate_vectors = encode_candidates(candidates, encoder)
-    vec = encoder.encode(text)
-    sims = candidate_vectors @ vec
-    scores = {name: float(s) for name, s in zip(candidates, sims)}
-    best, tied = _argmax(scores)
-    return Prediction(final_class=best, augmented_text=text, similarity_scores=scores, tie=tied)
+    return rank_rows([text], [encoder.encode(text)], candidates, encoder,
+                     candidate_vectors).prediction(0)
+
+
+def infer_batch(texts, subgraph: TaskSubgraph, candidates, encoder,
+                candidate_vectors: np.ndarray | None = None) -> BatchInference:
+    """parse -> vote -> augment -> classify for many texts with one encode.
+
+    Every row is bit-identical to infer() on that text alone. When no
+    triplet of a text matches the registry, its row equals classify(text).
+    """
+    t0 = time.perf_counter()
+    votes = vote_texts(texts, subgraph)
+    t1 = time.perf_counter()
+    augmented = [augment_text(t, head) for t, (_, head) in zip(texts, votes)]
+    batch = rank_rows(augmented, encoder.encode_batch(augmented), candidates, encoder,
+                      candidate_vectors, votes)
+    batch.vote_ms, batch.classify_ms = (t1 - t0) * 1000.0, (time.perf_counter() - t1) * 1000.0
+    return batch
 
 
 def infer(raw_text: str, subgraph: TaskSubgraph, candidates, encoder,
           candidate_vectors: np.ndarray | None = None,
           timings: dict | None = None) -> Prediction:
-    """parse -> vote -> augment -> classify, with the tally kept for diagnostics.
+    """infer_batch on one text, with the tally kept for diagnostics.
 
-    When no triplet matches the registry the result equals classify(raw_text)
-    with the empty tally attached.
+    timings, when given, accumulates "vote_ms" and "classify_ms".
     """
-    t0 = time.perf_counter() if timings is not None else 0.0
-    graph = subgraph.graph
-    triplets = parse_triplets(raw_text, graph.relations) if graph is not None else []
-    tally, head = vote_head(triplets, subgraph)
+    batch = infer_batch([raw_text], subgraph, candidates, encoder, candidate_vectors)
     if timings is not None:
-        t1 = time.perf_counter()
-        timings["vote_ms"] = timings.get("vote_ms", 0.0) + (t1 - t0) * 1000.0
-        t0 = t1
-    pred = classify(augment_text(raw_text, head), candidates, encoder, candidate_vectors)
-    if timings is not None:
-        timings["classify_ms"] = timings.get("classify_ms", 0.0) + (time.perf_counter() - t0) * 1000.0
-    pred.graph_head = head
-    pred.tally = tally
-    return pred
+        timings["vote_ms"] = timings.get("vote_ms", 0.0) + batch.vote_ms
+        timings["classify_ms"] = timings.get("classify_ms", 0.0) + batch.classify_ms
+    return batch.prediction(0)
 
 
 def prediction_record(raw_text: str, pred: Prediction, relations, top_k: int = 3) -> dict:

@@ -68,6 +68,16 @@ class LoadStats:
         return json.dumps(self.to_dict())
 
 
+class _KeywordMemo(dict):
+    def __init__(self, table: "NameTable"):
+        super().__init__()
+        self._table = table
+
+    def __missing__(self, token: str) -> tuple[int, ...]:
+        rels = self[token] = self._table.resolve(token, fold=True) or ()
+        return rels
+
+
 class NameTable:
     """Dense id <-> name bijection, ids assigned in first-seen order."""
 
@@ -75,6 +85,7 @@ class NameTable:
         self._names: list[str] = []
         self._ids: dict[str, int] = {}
         self._lower: dict[str, int] | None = None
+        self._keywords: _KeywordMemo | None = None
 
     def intern(self, name: str) -> int:
         idx = self._ids.get(name)
@@ -83,6 +94,7 @@ class NameTable:
             self._names.append(name)
             self._ids[name] = idx
             self._lower = None
+            self._keywords = None
         return idx
 
     def get(self, name: str) -> int | None:
@@ -102,6 +114,38 @@ class NameTable:
                 low.setdefault(name.lower(), idx)
             self._lower = low
         return self._lower
+
+    def resolve(self, label: str, fold: bool = False) -> tuple[int, ...] | None:
+        """Ids named by 'Rel' or 'Rel1_Rel2'; None when the label names neither.
+
+        A single name beats a pair, and of several pair readings the leftmost
+        '_' split wins. fold=True matches case-insensitively through
+        lower_index(); otherwise names must match exactly.
+        """
+        index = self.lower_index() if fold else self._ids
+        if fold:
+            label = label.lower()
+        rid = index.get(label)
+        if rid is not None:
+            return (rid,)
+        pos = label.find("_")
+        while pos >= 0:
+            left = index.get(label[:pos])
+            right = index.get(label[pos + 1:])
+            if left is not None and right is not None:
+                return (left, right)
+            pos = label.find("_", pos + 1)
+        return None
+
+    def keywords(self) -> dict[str, tuple[int, ...]]:
+        """Token -> resolve(token, fold=True), () for a token naming nothing.
+
+        A memo that resolves each token on first sight, so every later
+        occurrence is one dict lookup; dropped on the next intern.
+        """
+        if self._keywords is None:
+            self._keywords = _KeywordMemo(self)
+        return self._keywords
 
     def __len__(self) -> int:
         return len(self._names)
@@ -201,8 +245,8 @@ class KnowledgeGraph:
         return self.relations.name(idx)
 
     def _head_range(self, head: int) -> tuple[int, int]:
-        lo = int(np.searchsorted(self._h, head, side="left"))
-        hi = int(np.searchsorted(self._h, head, side="right"))
+        lo = int(self._h.searchsorted(head, "left"))
+        hi = int(self._h.searchsorted(head, "right"))
         return lo, hi
 
     def facts_of(self, head: int) -> list[Fact]:
@@ -215,9 +259,9 @@ class KnowledgeGraph:
         if not (0 <= relation < len(self.relations) and 0 <= tail < self._ne):
             return set()
         key = relation * self._ne + tail
-        lo = int(np.searchsorted(self._pair_keys, key, side="left"))
-        hi = int(np.searchsorted(self._pair_keys, key, side="right"))
-        return {int(x) for x in self._pair_heads[lo:hi]}
+        lo = self._pair_keys.searchsorted(key, "left")
+        hi = self._pair_keys.searchsorted(key, "right")
+        return set(self._pair_heads[lo:hi].tolist())
 
     def two_hop_facts(self, head: int, limit: int = 1000) -> list[tuple[tuple[int, int], int]]:
         """Relation chains head -> mid -> tail with tail outside {head, mid}.

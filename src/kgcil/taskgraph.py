@@ -70,11 +70,6 @@ class AllocationReport:
     shortfall: list[str] = field(default_factory=list)
     unknown: list[str] = field(default_factory=list)
 
-    def merge(self, other: "AllocationReport") -> None:
-        self.grants.extend(other.grants)
-        self.shortfall.extend(other.shortfall)
-        self.unknown.extend(other.unknown)
-
     def to_dict(self) -> dict:
         return {
             "grants": [g.to_dict() for g in self.grants],
@@ -84,18 +79,13 @@ class AllocationReport:
 
 
 class TaskSubgraph:
-    """Evolving class -> relation-path registry with a global used-pair set."""
+    """Evolving class -> relation-path registry; pair_to_class doubles as the used-pair set."""
 
     def __init__(self, graph: KnowledgeGraph | None = None):
         self.graph = graph
         self.assignments: dict[int, ClassAssignment] = {}
         self.pair_to_class: dict[PairKey, int] = {}
         self.tasks = 0
-
-    @property
-    def used_pairs(self):
-        # the used set is by construction the domain of pair_to_class
-        return self.pair_to_class.keys()
 
     def is_empty(self) -> bool:
         return not self.assignments
@@ -200,21 +190,6 @@ def export_subgraph(subgraph: TaskSubgraph, path) -> ExportStats:
     return ExportStats(classes=len(subgraph.assignments), paths=n_paths, bytes=len(payload))
 
 
-def _resolve_relation_label(label: str, graph: KnowledgeGraph) -> tuple[int, ...] | None:
-    """Exact-name resolution of 'Rel' or 'Rel1_Rel2' against the relation table."""
-    rid = graph.relations.get(label)
-    if rid is not None:
-        return (rid,)
-    for pos, ch in enumerate(label):
-        if ch != "_":
-            continue
-        left = graph.relations.get(label[:pos])
-        right = graph.relations.get(label[pos + 1:])
-        if left is not None and right is not None:
-            return (left, right)
-    return None
-
-
 def import_subgraph(path, graph: KnowledgeGraph) -> TaskSubgraph:
     """Rebuild a TaskSubgraph from an exported TSV file."""
     sub = TaskSubgraph(graph)
@@ -235,7 +210,7 @@ def import_subgraph(path, graph: KnowledgeGraph) -> TaskSubgraph:
             cid = graph.entities.get(normalize_name(cname))
             if cid is None:
                 raise UnknownClass(cname)
-            rels = _resolve_relation_label(rel_s, graph)
+            rels = graph.relations.resolve(rel_s)
             if rels is None:
                 raise ValueError(f"subgraph line {line_no}: unknown relation {rel_s!r}")
             tail = graph.entities.get(normalize_name(tail_s))

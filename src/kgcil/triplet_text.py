@@ -63,21 +63,6 @@ def render_training_text(assignment, graph: KnowledgeGraph) -> TrainingText:
     return TrainingText(assignment.class_id, ". ".join(clauses) + ".")
 
 
-def _match_keyword(token: str, lower_idx: dict[str, int]) -> tuple[int, ...] | None:
-    low = token.lower()
-    rid = lower_idx.get(low)
-    if rid is not None:
-        return (rid,)
-    for pos, ch in enumerate(low):
-        if ch != "_":
-            continue
-        left = lower_idx.get(low[:pos])
-        right = lower_idx.get(low[pos + 1:])
-        if left is not None and right is not None:
-            return (left, right)
-    return None
-
-
 def parse_triplets(text: str, relations: NameTable) -> list[ParsedTriplet]:
     """Extract (relation-sequence, tail) pairs from free text.
 
@@ -85,25 +70,25 @@ def parse_triplets(text: str, relations: NameTable) -> list[ParsedTriplet]:
     removed, first occurrence wins. Relations always come from the given
     table, so a parsed triplet can never name an unknown relation.
     """
-    lower_idx = relations.lower_index()
+    keywords = relations.keywords()
     tokens = _TOKEN_RE.findall(text)
+    # per token: the relation ids it opens, () for a tail word, None for a boundary
+    rels = [None if t in _BOUNDARY else keywords[t] for t in tokens]
     out: list[ParsedTriplet] = []
     seen: set[tuple[tuple[int, ...], str]] = set()
     i, n = 0, len(tokens)
     while i < n:
-        rels = _match_keyword(tokens[i], lower_idx) if tokens[i] not in _BOUNDARY else None
-        if rels is None:
+        if not rels[i]:
             i += 1
             continue
         j = i + 1
-        tail_tokens: list[str] = []
-        while j < n and tokens[j] not in _BOUNDARY and _match_keyword(tokens[j], lower_idx) is None:
-            tail_tokens.append(tokens[j].lower())
+        while j < n and rels[j] == ():
             j += 1
+        tail_tokens = [t.lower() for t in tokens[i + 1:j]]
         while tail_tokens and tail_tokens[0] in _ARTICLES:
             tail_tokens.pop(0)
         if tail_tokens:
-            trip = ParsedTriplet(rels, "_".join(tail_tokens))
+            trip = ParsedTriplet(rels[i], "_".join(tail_tokens))
             key = (trip.relations, trip.tail)
             if key not in seen:
                 seen.add(key)

@@ -10,14 +10,16 @@ from kgcil import (
     TaskSubgraph,
     augment_text,
     classify,
+    encode_candidates,
     extend_subgraph,
     infer,
+    infer_batch,
     parse_triplets,
     prediction_record,
     render_training_text,
     vote_head,
 )
-from kgcil.inference import _argmax
+from kgcil.inference import rank_rows
 from kgcil.synthetic import class_name, synthetic_graph
 
 
@@ -162,12 +164,40 @@ class TestClassify:
         assert a.final_class == b.final_class == "beta"
         assert a.similarity_scores == b.similarity_scores
 
+    def test_tie_goes_to_smallest_name_in_any_order(self):
+        pred = classify("", ["pineapple", "granny_smith", "apple"], HashingEncoder(32))
+        assert pred.final_class == "apple"
+        assert pred.tie
+
+    def test_repeated_candidate_keeps_last_vector(self):
+        enc = HashingEncoder(64)
+        names = ["beta", "alpha", "beta"]
+        vecs = encode_candidates(["gamma", "alpha", "beta"], enc)
+        pred = classify("beta", names, enc, candidate_vectors=vecs)
+        assert list(pred.similarity_scores) == ["beta", "alpha"]
+        assert pred.similarity_scores["beta"] == pytest.approx(1.0)
+        assert pred.final_class == "beta" and not pred.tie
+
     def test_argmax_scale_invariant(self):
+        # rank_rows' argmax against the name-keyed rule it replaced:
+        # max score, exact ties to the smallest name
         rng = np.random.default_rng(1)
+        names = [f"c{i}" for i in rng.permutation(6)]
         for _ in range(50):
-            scores = {f"c{i}": float(rng.random()) for i in range(6)}
-            scaled = {k: v * 3.7 for k, v in scores.items()}
-            assert _argmax(scores)[0] == _argmax(scaled)[0]
+            cand = rng.random((6, 4))
+            cand[int(rng.integers(6))] = cand[int(rng.integers(6))]  # a shared vector ties exactly
+            rows = rng.random((3, 4))
+            rows[0] = 0.0  # all-zero scores tie across every candidate
+            for scale in (1.0, 3.7):
+                ranking = rank_rows([""] * 3, rows * scale, names, None, cand)
+                for i in range(len(rows)):
+                    scores = dict(zip(names, (cand @ (rows[i] * scale)).tolist()))
+                    want = min(scores, key=lambda n: (-scores[n], n))
+                    assert ranking.final_class(i) == want
+                    assert ranking.tie[i] == (list(scores.values()).count(scores[want]) > 1)
+            plain = rank_rows([""] * 3, rows, names, None, cand)
+            scaled = rank_rows([""] * 3, rows * 3.7, names, None, cand)
+            assert list(plain.best) == list(scaled.best)
 
 
 class TestInfer:
@@ -193,10 +223,38 @@ class TestInfer:
 
     def test_timings_accumulate(self, fruit_graph, fruit_sub):
         enc = HashingEncoder(64)
+        names = ["granny_smith", "pineapple"]
         timings = {}
-        infer("it IsA fruit.", fruit_sub, ["granny_smith", "pineapple"], enc, timings=timings)
-        assert timings["vote_ms"] > 0.0
-        assert timings["classify_ms"] > 0.0
+        infer("it IsA fruit.", fruit_sub, names, enc, timings=timings)
+        first = dict(timings)
+        assert first["vote_ms"] > 0.0
+        assert first["classify_ms"] > 0.0
+        infer("it IsA fruit.", fruit_sub, names, enc, timings=timings)
+        assert timings["vote_ms"] > first["vote_ms"]
+        assert timings["classify_ms"] > first["classify_ms"]
+        batch = infer_batch(["it IsA fruit.", "it AtLocation pizza."], fruit_sub, names, enc)
+        assert batch.vote_ms > 0.0
+        assert batch.classify_ms > 0.0
+
+    def test_batch_rows_equal_single_infer(self, fruit_graph, fruit_sub):
+        enc = HashingEncoder(64)
+        names = ["granny_smith", "pineapple"]
+        texts = ["it IsA fruit.", "", "it AtLocation pizza. it AtLocation store.",
+                 "This is a photo of a apple", "it IsA fruit. it AtLocation pizza."]
+        batch = infer_batch(texts, fruit_sub, names, enc, encode_candidates(names, enc))
+        for i, text in enumerate(texts):
+            single = infer(text, fruit_sub, names, enc)
+            got = batch.prediction(i)
+            assert got.final_class == single.final_class
+            assert got.similarity_scores == single.similarity_scores
+            assert got.tie == single.tie
+            assert got.graph_head == single.graph_head
+            assert got.tally == single.tally
+            assert got.augmented_text == single.augmented_text
+
+    def test_batch_empty_candidates(self, fruit_sub):
+        with pytest.raises(EmptyCandidates):
+            infer_batch(["it IsA fruit."], fruit_sub, [], HashingEncoder(16))
 
 
 class TestRecord:

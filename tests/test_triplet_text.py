@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from kgcil import (
     ClassAssignment,
     EmptyAssignment,
     KnowledgeGraph,
+    NameTable,
     RelationPath,
     TaskSubgraph,
     extend_subgraph,
@@ -171,3 +174,105 @@ def test_parse_is_pure(fruit_graph):
     text = "it IsA fruit. it AtLocation store."
     first = parse_triplets(text, fruit_graph.relations)
     assert parse_triplets(text, fruit_graph.relations) == first
+
+
+# -- keyword table against the per-token matcher it replaced -----------------
+
+_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|[.,;]")
+KEYWORD_POOL = ["Made", "Of", "Made_Of", "made", "MADE_of", "IsA", "isa", "Of_Made",
+                "A", "B", "A_B", "B_C", "C"]
+
+
+def ref_match_keyword(token, index, fold):
+    """The matcher parse_triplets and import_subgraph used before the keyword table."""
+    low = token.lower() if fold else token
+    rid = index.get(low)
+    if rid is not None:
+        return (rid,)
+    for pos, ch in enumerate(low):
+        if ch != "_":
+            continue
+        left = index.get(low[:pos])
+        right = index.get(low[pos + 1:])
+        if left is not None and right is not None:
+            return (left, right)
+    return None
+
+
+def ref_parse(text, relations):
+    idx = relations.lower_index()
+    tokens = _TOKEN_RE.findall(text)
+    out, seen = [], set()
+    i, n = 0, len(tokens)
+    while i < n:
+        rels = ref_match_keyword(tokens[i], idx, True) if tokens[i] not in {".", ",", ";"} else None
+        if rels is None:
+            i += 1
+            continue
+        j = i + 1
+        tail = []
+        while j < n and tokens[j] not in {".", ",", ";"} and ref_match_keyword(tokens[j], idx, True) is None:
+            tail.append(tokens[j].lower())
+            j += 1
+        while tail and tail[0] in {"a", "an", "the"}:
+            tail.pop(0)
+        if tail and (rels, "_".join(tail)) not in seen:
+            seen.add((rels, "_".join(tail)))
+            out.append((rels, "_".join(tail)))
+        i = j
+    return out
+
+
+def _recase(draw, word):
+    flips = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    return "".join(c.swapcase() if f else c for c, f in zip(word, flips))
+
+
+@st.composite
+def keyword_cases(draw):
+    names = draw(st.lists(st.sampled_from(KEYWORD_POOL), min_size=1, max_size=8, unique=True))
+    table = NameTable()
+    for name in names:
+        table.intern(name)
+    word = st.sampled_from(KEYWORD_POOL + ["the", "a", "fruit", "x_y", "Made_Of_Of", "A_B_C",
+                                           "_Of", "Made_", ".", ",", ";"])
+    labels = []
+    for _ in range(draw(st.integers(min_value=0, max_value=25))):
+        label = draw(word)
+        if draw(st.booleans()):
+            label = f"{label}_{draw(word)}"
+        labels.append(_recase(draw, label) if draw(st.booleans()) else label)
+    return table, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(keyword_cases())
+def test_keyword_table_matches_reference(case):
+    table, labels = case
+    text = " ".join(labels)
+    assert [(p.relations, p.tail) for p in parse_triplets(text, table)] == ref_parse(text, table)
+    exact = {name: i for i, name in enumerate(table.names())}
+    for label in labels:
+        assert table.resolve(label) == ref_match_keyword(label, exact, False)
+        assert table.resolve(label, fold=True) == ref_match_keyword(label, table.lower_index(), True)
+
+
+def test_keyword_rules():
+    table = NameTable()
+    for name in ["Made", "Of", "Made_Of", "made", "A", "B", "A_B", "B_C", "C"]:
+        table.intern(name)
+    ids = {name: table.get(name) for name in table.names()}
+    assert table.resolve("Made_Of") == (ids["Made_Of"],)  # a single name beats a pair
+    assert table.resolve("A_B_C") == (ids["A"], ids["B_C"])  # the leftmost split wins
+    assert table.resolve("made", fold=True) == (ids["Made"],)  # the first id wins on case
+    assert table.resolve("made") == (ids["made"],)
+    assert table.resolve("MADE_OF") is None
+    assert table.resolve("MADE_OF", fold=True) == (ids["Made_Of"],)
+
+
+def test_keyword_table_follows_new_relations():
+    table = NameTable()
+    table.intern("IsA")
+    assert parse_triplets("it HasA tail", table) == []
+    table.intern("HasA")
+    assert [p.tail for p in parse_triplets("it HasA tail", table)] == ["tail"]
