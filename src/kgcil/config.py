@@ -6,10 +6,9 @@ fast, and validation errors always name the offending key.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-
-from jsonschema import Draft202012Validator
 
 _PROB = {"type": "number", "minimum": 0.0, "maximum": 1.0}
 
@@ -65,7 +64,14 @@ RUN_CONFIG_SCHEMA = {
     },
 }
 
-_VALIDATOR = Draft202012Validator(RUN_CONFIG_SCHEMA)
+
+@functools.cache
+def _validator():
+    # imported on first validation: query, ingest, build and bench never
+    # validate a config, and jsonschema is a large share of the CLI's import
+    from jsonschema import Draft202012Validator
+
+    return Draft202012Validator(RUN_CONFIG_SCHEMA)
 
 
 class ConfigError(ValueError):
@@ -75,7 +81,7 @@ class ConfigError(ValueError):
 def validate_run_config(doc) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("run config must be a JSON object")
-    errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    errors = sorted(_validator().iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
         where = "/".join(str(p) for p in err.absolute_path) or "<root>"

@@ -12,6 +12,7 @@ per text, so a text gets the same bits in a batch as alone.
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -202,7 +203,7 @@ def prediction_record(raw_text: str, pred: Prediction, relations, top_k: int = 3
         return {"relations": [relations.name(r) for r in trip.relations], "tail": trip.tail}
 
     tally = pred.tally
-    top = sorted(pred.similarity_scores.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
+    top = heapq.nsmallest(top_k, pred.similarity_scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return {
         "raw_text": raw_text,
         "matched": [{"triplet": fmt(t), "class": c} for t, c in tally.matched] if tally else [],

@@ -1,12 +1,14 @@
 """In-memory knowledge graph: interned names, indexed fact lookups, two-hop walks.
 
 Facts are loaded once (from TSV or from an in-memory triple list) and the graph
-is immutable afterwards. Every query is answered from sorted-array indexes via
-binary search, so lookups never scan the fact table.
+is immutable afterwards. Both sources feed one column-wise ingestion core, so
+loading makes no Python object per fact. Every query is answered from
+sorted-array indexes via binary search, so lookups never scan the fact table.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
 from dataclasses import dataclass
@@ -86,6 +88,14 @@ class NameTable:
         self._ids: dict[str, int] = {}
         self._lower: dict[str, int] | None = None
         self._keywords: _KeywordMemo | None = None
+
+    @classmethod
+    def from_names(cls, names: list[str]) -> "NameTable":
+        """A table whose ids are the positions in names, which must be distinct."""
+        table = cls()
+        table._names = names
+        table._ids = dict(zip(names, range(len(names))))
+        return table
 
     def intern(self, name: str) -> int:
         idx = self._ids.get(name)
@@ -167,37 +177,15 @@ class KnowledgeGraph:
         self._r = rels
         self._t = tails
         self._ne = max(len(entities), 1)
-        pair_key = self._r * self._ne + self._t
-        order = np.lexsort((self._h, pair_key))
-        self._pair_keys = pair_key[order]
-        self._pair_heads = self._h[order]
+        # facts are distinct, so sorting the packed (pair, head) key orders them
+        # exactly as a lexsort by pair then head would
+        by_pair = self._r * self._ne
+        by_pair += self._t
+        by_pair *= self._ne
+        by_pair += self._h
+        by_pair.sort()
+        self._pair_keys, self._pair_heads = np.divmod(by_pair, self._ne)
         self.stats = stats
-
-    @classmethod
-    def _from_interned(cls, entities: NameTable, relations: NameTable,
-                       heads: list[int], rels: list[int], tails: list[int],
-                       self_loops: int) -> "KnowledgeGraph":
-        if not heads:
-            raise EmptyGraph("no facts survived loading")
-        ne, nr = len(entities), len(relations)
-        if ne * nr * ne >= 2 ** 63:
-            raise OverflowError("graph too large for packed int64 keys")
-        h = np.asarray(heads, dtype=np.int64)
-        r = np.asarray(rels, dtype=np.int64)
-        t = np.asarray(tails, dtype=np.int64)
-        # packed key preserves (head, relation, tail) order, so np.unique both
-        # deduplicates and sorts in one pass
-        packed = (h * nr + r) * ne + t
-        _, first = np.unique(packed, return_index=True)
-        dropped = len(h) - len(first)
-        stats = LoadStats(
-            entities=ne,
-            relations=nr,
-            facts=len(first),
-            duplicates_dropped=dropped,
-            self_loops_dropped=self_loops,
-        )
-        return cls(entities, relations, h[first], r[first], t[first], stats)
 
     @classmethod
     def from_facts(cls, triples) -> "KnowledgeGraph":
@@ -206,22 +194,10 @@ class KnowledgeGraph:
         Mainly for fixtures and synthetic data; applies the same normalization
         and filtering as the TSV loader.
         """
-        entities, relations = NameTable(), NameTable()
-        hs: list[int] = []
-        rs: list[int] = []
-        ts: list[int] = []
-        loops = 0
-        for head, rel, tail in triples:
-            hn, rn, tn = normalize_name(head), normalize_relation(rel), normalize_name(tail)
-            if not (hn and rn and tn):
-                raise ValueError(f"empty name in triple {(head, rel, tail)!r}")
-            if hn == tn:
-                loops += 1
-                continue
-            hs.append(entities.intern(hn))
-            rs.append(relations.intern(rn))
-            ts.append(entities.intern(tn))
-        return cls._from_interned(entities, relations, hs, rs, ts, loops)
+        triples = [tuple(triple) for triple in triples]
+        columns = [_name_column([h for h, _, _ in triples] + [t for _, _, t in triples]),
+                   _name_column([r for _, r, _ in triples])]
+        return _ingest(columns, lambda i: ValueError(f"empty name in triple {triples[i]!r}"))
 
     # -- queries ----------------------------------------------------------
 
@@ -286,37 +262,275 @@ class KnowledgeGraph:
 
 
 def load_graph(path, format: str = "tsv") -> KnowledgeGraph:
-    """Load a graph from a tab-separated head/relation/tail file.
+    """Load a graph from a tab-separated head/relation/tail UTF-8 file.
 
-    Lines starting with '#' and blank lines are skipped. Exact duplicates and
-    self-loops are dropped (counted in the load stats). Raises MalformedLine
-    for rows without exactly three fields or with names that normalize to the
-    empty string, and EmptyGraph when nothing survives.
+    One leading byte-order mark is ignored and CRLF or lone-CR line endings
+    read as LF. Lines starting with '#' and blank lines are skipped. Exact
+    duplicates and self-loops are dropped (counted in the load stats). Raises
+    MalformedLine for the first row without exactly three fields or with a
+    name that normalizes to the empty string, UnicodeDecodeError for a file
+    that is not UTF-8, and EmptyGraph when nothing survives.
     """
     if format != "tsv":
         raise ValueError(f"unsupported graph format: {format!r}")
-    entities, relations = NameTable(), NameTable()
-    hs: list[int] = []
-    rs: list[int] = []
-    ts: list[int] = []
-    loops = 0
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise MalformedLine(line_no, f"expected 3 tab-separated fields, got {len(parts)}")
-            head = normalize_name(parts[0])
-            rel = normalize_relation(parts[1])
-            tail = normalize_name(parts[2])
-            if not (head and rel and tail):
-                raise MalformedLine(line_no, "empty field after normalization")
-            if head == tail:
-                loops += 1
-                continue
-            hs.append(entities.intern(head))
-            rs.append(relations.intern(rel))
-            ts.append(entities.intern(tail))
-    return KnowledgeGraph._from_interned(entities, relations, hs, rs, ts, loops)
+    columns, line_no, first_short = _read_tsv(path)
+
+    def malformed(i: int) -> MalformedLine:
+        if first_short is not None and first_short[0] == i:
+            reason = f"expected 3 tab-separated fields, got {first_short[1]}"
+        else:
+            reason = "empty field after normalization"
+        return MalformedLine(int(line_no[i]), reason)
+
+    return _ingest(columns, malformed)
+
+
+# -- ingestion core -------------------------------------------------------
+#
+# A name column is a list of blocks (at, rows), one per row width: rows holds
+# the UTF-8 bytes of the names at positions `at` of the column, padded with
+# 0xFF to the width, a multiple of 8. Valid UTF-8 never holds 0xFF, so two
+# rows are equal exactly when their names are. Blocks keep one long name
+# from widening every row.
+
+_PAD = 0xFF
+
+# byte values normalization leaves as they are: printable ASCII other than
+# space, and for entity names no uppercase
+_BYTE = np.arange(256)
+_RELATION_BYTES = (_BYTE > 0x20) & (_BYTE < 0x7F)
+_ENTITY_BYTES = _RELATION_BYTES & ((_BYTE < ord("A")) | (_BYTE > ord("Z")))
+
+
+def _row_width(lens):
+    return np.maximum(8, -(-lens // 8) * 8)
+
+
+def _byte_column(data: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list:
+    """The names data[starts[i]:starts[i] + lens[i]] as a name column.
+
+    data must reach the widest row past every start.
+    """
+    if not len(lens) or _row_width(lens.min()) == _row_width(lens.max()):
+        blocks = [slice(None)]
+    else:
+        widths = _row_width(lens)
+        order = np.argsort(widths, kind="stable")
+        blocks = np.split(order, np.flatnonzero(np.diff(widths[order])) + 1)
+    column = []
+    for at in blocks:
+        block_lens = lens[at]
+        width = int(_row_width(block_lens.max(initial=0)))
+        rows = np.lib.stride_tricks.sliding_window_view(data, width)[starts[at]]
+        for j in range(width - 8, width):  # only the last 8 bytes of a row can be padding
+            rows[block_lens <= j, j] = _PAD
+        column.append((at, rows))
+    return column
+
+
+def _name_column(names: list[str]) -> list:
+    raw = [name.encode("utf-8", "surrogatepass") for name in names]
+    lens = np.fromiter(map(len, raw), np.int64, len(raw))
+    data = np.frombuffer(b"".join(raw) + bytes(int(_row_width(lens.max(initial=0)))), np.uint8)
+    return _byte_column(data, np.cumsum(lens) - lens, lens)
+
+
+def _read_tsv(path):
+    """Scan a TSV file into name columns with NumPy, one row per data line.
+
+    Returns ([entities, relations], line_no, first_short); entities holds
+    every head and then every tail, and first_short is (row, field count) of
+    the first line without exactly three fields, or None. Such a line gets
+    empty names, so the core reports it. Only lines that start with
+    whitespace, '#' or a non-ASCII byte are decoded in Python, to apply the
+    skip rule. Arrays are deleted as soon as they are used up, which keeps
+    the peak memory of a load low.
+    """
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    if buf.startswith(codecs.BOM_UTF8):
+        buf = buf[len(codecs.BOM_UTF8):]
+    if b"\r" in buf:  # the newline translation of text-mode reading
+        buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not buf.isascii():
+        buf.decode("utf-8")  # invalid UTF-8 raises here
+    ends = np.flatnonzero(np.frombuffer(buf, np.uint8) == ord("\n"))
+    if buf and not buf.endswith(b"\n"):
+        ends = np.append(ends, len(buf))
+    starts = np.concatenate(([0], ends + 1))[:len(ends)]
+    # zero padding lets every field be read as one fixed-width window
+    data = np.zeros(len(buf) + int(_row_width((ends - starts).max(initial=0))), np.uint8)
+    data[:len(buf)] = np.frombuffer(buf, np.uint8)
+    del buf
+    lead = data[starts]  # an empty line's lead is its own newline
+    skip = (lead <= ord(" ")) | (lead == ord("#")) | (lead >= 0x80)
+    for i in np.flatnonzero(skip).tolist():
+        line = data[starts[i]:ends[i]].tobytes().decode("utf-8")
+        skip[i] = not line.strip() or line.lstrip().startswith("#")
+    lines = np.flatnonzero(~skip)
+    del lead, skip
+    tabs = np.flatnonzero(data == ord("\t"))
+    tabs_to_end = np.searchsorted(tabs, ends)
+    first_tab = np.concatenate(([0], tabs_to_end[:-1]))[lines]
+    n_fields = tabs_to_end[lines] - first_tab + 1
+    del tabs_to_end
+    starts, ends = starts[lines], ends[lines]
+    short = np.flatnonzero(n_fields != 3)
+    first_short = (int(short[0]), int(n_fields[short[0]])) if len(short) else None
+    del n_fields
+    if not len(tabs):  # every row is short; any in-range lookup will do
+        tabs = np.zeros(1, np.int64)
+    tab1, tab2 = tabs.take(first_tab, mode="clip"), tabs.take(first_tab + 1, mode="clip")
+    del tabs, first_tab
+    rel_lens = tab2 - tab1 - 1
+    rel_lens[short] = 0
+    relations = _byte_column(data, tab1 + 1, rel_lens)
+    del rel_lens
+    # in place from here on: tab1 becomes the head lengths, tab2 the tail
+    # starts and ends the tail lengths
+    tab1 -= starts
+    tab2 += 1
+    ends -= tab2
+    ent_starts = np.concatenate((starts, tab2))
+    del starts, tab2
+    ent_lens = np.concatenate((tab1, ends))
+    del tab1, ends
+    ent_lens[np.concatenate((short, short + len(lines)))] = 0
+    entities = _byte_column(data, ent_starts, ent_lens)
+    return [entities, relations], lines + 1, first_short
+
+
+def _group(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids for the distinct values of key, and one position of each id."""
+    order = np.argsort(key)
+    sorted_key = key[order]
+    new = np.empty(len(key), bool)
+    new[:1] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=new[1:])
+    del sorted_key
+    ranks = np.cumsum(new)
+    ranks -= 1
+    ids = np.empty(len(key), np.int64)
+    ids[order] = ranks
+    return ids, order[new]
+
+
+def _intern_column(column: list, size: int, normalize, plain: np.ndarray):
+    """Give each distinct normalized name of a column one id.
+
+    Equal rows of a block are grouped with integer sorts; only names with a
+    byte outside plain are decoded and normalized in Python, and names that
+    then coincide are merged. Returns (id of each of the size names, array
+    of the name of each id); ids follow no particular order.
+    """
+    parts = []
+    names = []
+    normalized = False
+    for at, rows in column:
+        words = rows.view(np.uint64)
+        key = words[:, 0]
+        for word in words.T[1:]:
+            # one key for (leading words, next word): both dense ids below len(key)
+            key = _group(key)[0] * len(key) + _group(word)[0]
+        row_ids, first = _group(key)
+        row_ids += sum(map(len, names))
+        parts.append((at, row_ids))
+        del words, key, row_ids
+        urows = rows[first]
+        live = urows != _PAD
+        odd = (live & ~plain[urows]).any(axis=1)
+        urows[~live] = 0
+        block = np.where(odd, b"", urows.view(f"S{urows.shape[1]}").ravel()).astype(str)
+        if odd.any():
+            block = block.astype(object)  # a str array would drop trailing NULs
+            lens = live.sum(axis=1)
+            for i in np.flatnonzero(odd).tolist():
+                block[i] = normalize(urows[i, :lens[i]].tobytes().decode("utf-8", "surrogatepass"))
+            normalized = True
+        names.append(block)
+    if len(parts) == 1:
+        ids = parts[0][1]  # one block holds the whole column in order
+    else:
+        ids = np.empty(size, np.int64)
+        for at, row_ids in parts:
+            ids[at] = row_ids
+    del parts
+    # one block keeps its fixed-width str array; str objects are made once
+    # the ids are final, in _first_seen
+    names = names[0] if len(names) == 1 else np.concatenate([b.astype(object) for b in names])
+    if not normalized:
+        return ids, names
+    index: dict[str, int] = {}
+    merged = np.array([index.setdefault(name, len(index)) for name in names], np.int64)
+    return merged[ids], np.array(list(index), dtype=object)
+
+
+def _first_seen(ids: np.ndarray, names: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Renumber ids in order of first occurrence; names no id uses are dropped."""
+    first = np.full(len(names), len(ids), np.int64)
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    used = np.argsort(first)[:np.count_nonzero(first < len(ids))]
+    rank = np.empty(len(names), np.int64)
+    rank[used] = np.arange(len(used))
+    return rank[ids], names[used].tolist()
+
+
+def _ingest(columns: list, malformed) -> KnowledgeGraph:
+    """Name columns in, graph out: the one path both loaders share.
+
+    columns is [entities, relations]: entities holds every head and then
+    every tail, relations one name per fact. The list is emptied, so the
+    columns are freed once interned. malformed(i) builds the error raised for
+    fact i, the first with a name that normalizes to the empty string. Ids
+    are assigned in first-seen order, heads and tails interleaved, after
+    self-loops are dropped.
+    """
+    entities, relations = columns
+    columns.clear()
+    n = sum(len(rows) for _, rows in relations)
+    ent, ent_names = _intern_column(entities, 2 * n, normalize_name, _ENTITY_BYTES)
+    del entities
+    rel, rel_names = _intern_column(relations, n, normalize_relation, _RELATION_BYTES)
+    del relations
+    head, tail = ent[:n], ent[n:]
+    bad = np.zeros(n, bool)
+    for empty in np.flatnonzero(ent_names == "").tolist():
+        bad |= (head == empty) | (tail == empty)
+    for empty in np.flatnonzero(rel_names == "").tolist():
+        bad |= rel == empty
+    if bad.any():
+        raise malformed(int(bad.argmax()))
+    keep = head != tail
+    kept = int(keep.sum())
+    ent = ent.reshape(2, n).T[keep].ravel()  # heads and tails interleaved
+    rel = rel[keep]
+    del head, tail, keep, bad
+    if not kept:
+        raise EmptyGraph("no facts survived loading")
+    ent, ent_names = _first_seen(ent, ent_names)
+    rel, rel_names = _first_seen(rel, rel_names)
+    ne, nr = len(ent_names), len(rel_names)
+    if ne * nr * ne >= 2 ** 63:
+        raise OverflowError("graph too large for packed int64 keys")
+    # the packed key preserves (head, relation, tail) order, so one sort both
+    # orders the facts and brings duplicates together
+    packed = ent[0::2] * nr
+    packed += rel
+    packed *= ne
+    packed += ent[1::2]
+    del ent, rel
+    packed.sort()
+    packed = packed[np.concatenate(([True], packed[1:] != packed[:-1]))]
+    head, rest = np.divmod(packed, nr * ne)
+    rel, tail = np.divmod(rest, ne)
+    del rest
+    stats = LoadStats(
+        entities=ne,
+        relations=nr,
+        facts=len(packed),
+        duplicates_dropped=kept - len(packed),
+        self_loops_dropped=n - kept,
+    )
+    del packed
+    return KnowledgeGraph(NameTable.from_names(ent_names), NameTable.from_names(rel_names),
+                          head, rel, tail, stats)

@@ -191,7 +191,10 @@ def export_subgraph(subgraph: TaskSubgraph, path) -> ExportStats:
 
 
 def import_subgraph(path, graph: KnowledgeGraph) -> TaskSubgraph:
-    """Rebuild a TaskSubgraph from an exported TSV file."""
+    """Rebuild a TaskSubgraph from an exported TSV file.
+
+    A row that repeats a (class, pair) the class already holds is skipped.
+    """
     sub = TaskSubgraph(graph)
     max_task = -1
     with open(path, encoding="utf-8") as fh:
@@ -218,7 +221,9 @@ def import_subgraph(path, graph: KnowledgeGraph) -> TaskSubgraph:
                 raise ValueError(f"subgraph line {line_no}: unknown tail {tail_s!r}")
             key: PairKey = (rels, tail)
             owner = sub.pair_to_class.get(key)
-            if owner is not None and owner != cid:
+            if owner == cid:
+                continue  # a repeated row: the class already holds this path
+            if owner is not None:
                 raise ValueError(f"subgraph line {line_no}: pair already owned by another class")
             if cid not in sub.assignments:
                 sub.assignments[cid] = ClassAssignment(cid, [], task_index)

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import kgcil
 
 from kgcil.config import ConfigError, load_run_config, validate_run_config
 
@@ -105,3 +110,12 @@ class TestLoad:
         path.write_text("{not json")
         with pytest.raises(json.JSONDecodeError):
             load_run_config(path)
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    # jsonschema is imported on the first validation, not with the CLI
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kgcil.__file__)))
+    code = "import sys, kgcil.cli; print('jsonschema' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

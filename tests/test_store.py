@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import codecs
+import re
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgcil import EmptyGraph, KnowledgeGraph, MalformedLine, load_graph, normalize_name
+from kgcil import EmptyGraph, KnowledgeGraph, LoadStats, MalformedLine, NameTable, load_graph, normalize_name
+from kgcil.synthetic import large_graph_tsv, synthetic_facts
 from conftest import FRUIT_FACTS, REEF_FACTS, write_tsv
 
 
@@ -160,10 +165,12 @@ def triple_lists(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(triple_lists())
-def test_index_consistency_property(triples):
+def test_index_consistency_property(tmp_path_factory, triples):
     if not triples:
         return
     g = KnowledgeGraph.from_facts(triples)
+    path = write_tsv(tmp_path_factory.mktemp("facts") / "g.tsv", triples)
+    assert graph_state(load_graph(path)) == graph_state(g)
     # loading is set semantics: the fact table equals the distinct input triples
     expected = {
         (normalize_name(h), r, normalize_name(t)) for h, r, t in triples
@@ -179,3 +186,161 @@ def test_index_consistency_property(triples):
     for i in range(len(g.entities)):
         for f in g.facts_of(i):
             assert f.head in g.heads_for(f.relation, f.tail)
+
+
+# -- parity with the per-line loader ------------------------------------------
+#
+# ref_load is the per-line loader the column-wise one replaced, frozen here
+# as the reference: same ids in the same first-seen order, same arrays, and
+# the same first error.
+
+_REF_WS = re.compile(r"\s+")
+
+
+def ref_load(path):
+    entities, relations = NameTable(), NameTable()
+    hs: list[int] = []
+    rs: list[int] = []
+    ts: list[int] = []
+    loops = 0
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, 1):
+            line = raw.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise MalformedLine(line_no, f"expected 3 tab-separated fields, got {len(parts)}")
+            head = _REF_WS.sub("_", parts[0].strip().lower())
+            rel = _REF_WS.sub("_", parts[1].strip())
+            tail = _REF_WS.sub("_", parts[2].strip().lower())
+            if not (head and rel and tail):
+                raise MalformedLine(line_no, "empty field after normalization")
+            if head == tail:
+                loops += 1
+                continue
+            hs.append(entities.intern(head))
+            rs.append(relations.intern(rel))
+            ts.append(entities.intern(tail))
+    if not hs:
+        raise EmptyGraph("no facts survived loading")
+    ne, nr = len(entities), len(relations)
+    h, r, t = (np.asarray(x, dtype=np.int64) for x in (hs, rs, ts))
+    _, first = np.unique((h * nr + r) * ne + t, return_index=True)
+    h, r, t = h[first], r[first], t[first]
+    pair_key = r * ne + t
+    order = np.lexsort((h, pair_key))
+    stats = LoadStats(ne, nr, len(first), len(hs) - len(first), loops)
+    return (stats, entities.names(), relations.names(),
+            *(a.tolist() for a in (h, r, t, pair_key[order], h[order])))
+
+
+def graph_state(g):
+    arrays = (g._h, g._r, g._t, g._pair_keys, g._pair_heads)
+    assert all(a.dtype == np.int64 for a in arrays)
+    return (g.stats, g.entities.names(), g.relations.names(), *(a.tolist() for a in arrays))
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except MalformedLine as err:
+        return ("MalformedLine", err.line_no, err.reason)
+    except (EmptyGraph, UnicodeDecodeError) as err:
+        return (type(err).__name__,)
+
+
+def assert_parity(path):
+    expected = outcome(ref_load, path)
+    assert outcome(lambda p: graph_state(load_graph(p)), path) == expected
+    return expected
+
+
+_NAME_TOKENS = ["a", "A", "b", "B", "c7", "x_y", "Made", "Of", "Made_Of", "é", "É", "ß", "İ", "\x00", "-"]
+_SPACE_TOKENS = [" ", "  ", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u3000", "\u2028"]
+
+
+@st.composite
+def tsv_texts(draw):
+    """Random TSV text: comments, blanks, loops, merges, and (when faulty) bad rows."""
+    faulty = draw(st.booleans())
+
+    def name():
+        tokens = draw(st.lists(st.sampled_from(_NAME_TOKENS * 3 + _SPACE_TOKENS), max_size=4))
+        if not faulty:  # one printable token keeps the name non-empty
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_NAME_TOKENS)))
+        return "".join(tokens)
+
+    kinds = ["fact"] * 6 + ["loop", "comment", "blank", "indented"] + ["arity"] * faulty
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "fact":
+            line = "\t".join((name(), name(), name()))
+        elif kind == "loop":
+            head = name()
+            tail = draw(st.sampled_from([head, head.upper(), f" {head}\xa0", head.replace("_", " ")]))
+            line = "\t".join((head, name(), tail))
+        elif kind == "comment":
+            line = draw(st.sampled_from(["#", "# note", "  # indented", "\u3000#x", "\t#\tthree\tfields"]))
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t", "\t\t", "\x0b", "\x0c\x1c", " \t \xa0"]))
+        elif kind == "indented":
+            indent = draw(st.sampled_from([" ", "\xa0", "\x0b", "\u3000"] + ["\t"] * faulty))  # a tab adds a field
+            line = indent + "\t".join((name(), name(), name()))
+        else:
+            line = "\t".join(name() for _ in range(draw(st.sampled_from([1, 2, 4]))))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    text = "".join(lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(tsv_texts())
+@example("a\tR\tb\n \tR\tc\nx\ty\n")  # an empty field before a short row
+@example("a\tR\tb\nx\ty\n \tR\tc\n")  # a short row before an empty field
+@example("A\x00\tR\ta\na\tR\tA\n")  # a trailing NUL keeps names apart
+@example("long_name_of_entity_1\tR\tlong_name_of_entity_2\nLONG_NAME_OF_ENTITY_1\tR R\tx\n")
+@example("a\tR\t" + "é" * 300 + "\nb\tR\ta\n" + "É" * 300 + "\tR\tb\n")  # one row far wider than the rest
+def test_loader_matches_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("tsv") / "g.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_parity(path)
+
+
+def test_loader_matches_reference_on_fixture_graphs(tmp_path, fruit_tsv):
+    assert_parity(fruit_tsv)
+    assert_parity(write_tsv(tmp_path / "reef.tsv", REEF_FACTS))
+    facts = synthetic_facts(60, n_relations=6, contention=0.5, with_chains=True, seed=3)
+    assert_parity(write_tsv(tmp_path / "synthetic.tsv", facts))
+    large_graph_tsv(tmp_path / "large.tsv", n_entities=3000, n_relations=7, n_facts=9000, n_classes=20, seed=1)
+    stats = assert_parity(tmp_path / "large.tsv")[0]
+    assert (stats.entities, stats.relations, stats.facts) == (3000, 7, 9000)
+
+
+@pytest.mark.parametrize("first_line", ["# fruit\n", ""])
+@pytest.mark.parametrize("variant", ["bom", "crlf", "cr", "bom+crlf"])
+def test_bom_and_line_endings_load_like_lf(tmp_path, variant, first_line):
+    text = (first_line + "".join(f"{h}\t{r}\t{t}\n" for h, r, t in FRUIT_FACTS)).encode("utf-8")
+    lf = tmp_path / "lf.tsv"
+    lf.write_bytes(text)
+    if "crlf" in variant:
+        text = text.replace(b"\n", b"\r\n")
+    if variant == "cr":
+        text = text.replace(b"\n", b"\r")
+    if "bom" in variant:
+        text = codecs.BOM_UTF8 + text
+    other = tmp_path / "other.tsv"
+    other.write_bytes(text)
+    g = load_graph(other)
+    assert graph_state(g) == graph_state(load_graph(lf))
+    assert g.entity_id("granny_smith") == 0
+
+
+def test_invalid_utf8_raises(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(b"a\tR\tb\n\xff\tR\tc\n")
+    with pytest.raises(UnicodeDecodeError):
+        load_graph(path)

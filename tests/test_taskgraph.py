@@ -156,6 +156,17 @@ class TestExport:
         back = import_subgraph(out, reef_graph)
         assert back.pair_to_class == sub.pair_to_class
 
+    def test_import_skips_repeated_rows(self, fruit_graph, tmp_path):
+        sub = self.build(fruit_graph)
+        clean, dup = tmp_path / "clean.tsv", tmp_path / "dup.tsv"
+        export_subgraph(sub, clean)
+        lines = self.GOLDEN.splitlines(keepends=True)  # two header lines, then four rows
+        dup.write_text("".join(lines[:3] + lines[2:] + lines[-1:]), encoding="utf-8")
+        a, b = import_subgraph(clean, fruit_graph), import_subgraph(dup, fruit_graph)
+        assert b.pair_to_class == a.pair_to_class
+        assert {c: x.paths for c, x in b.assignments.items()} == {c: x.paths for c, x in a.assignments.items()}
+        assert render_export(b) == render_export(a) == self.GOLDEN
+
     def test_import_rejects_foreign_rows(self, fruit_graph, tmp_path):
         out = tmp_path / "bad.tsv"
         out.write_text("0\tgranny_smith\tIsA\n", encoding="utf-8")
