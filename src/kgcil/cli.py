@@ -72,7 +72,7 @@ def parse_classes_file(path) -> list[list[str]]:
 def cmd_ingest(args) -> int:
     graph = load_graph(args.graph)
     log.info("loaded %s", args.graph)
-    print(graph.stats.to_json())
+    print(json.dumps(graph.stats.to_dict()))
     return EXIT_OK
 
 

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inference import encode_candidates, infer_batch, prediction_record, vote_texts
+from .encoders import HashingEncoder
+from .inference import encode_candidates, infer_batch, prediction_record
 from .simulate import GeneratorConfig, NoAssignment, TextGenerator, baseline_config
-from .store import KnowledgeGraph, normalize_name
+from .store import KnowledgeGraph, Record, normalize_name
 from .taskgraph import TaskSubgraph, UnknownClass, extend_subgraph, render_export
 from .triplet_text import render_training_text
 
@@ -128,7 +129,7 @@ def compute_pd(first: float, last: float) -> float:
 
 
 @dataclass
-class SessionResult:
+class SessionResult(Record):
     index: int
     new_classes: list[str]
     per_class: dict[str, list[int]]  # name -> [correct, total] over all seen classes
@@ -138,25 +139,6 @@ class SessionResult:
     vote_ms: float
     classify_ms: float
     subgraph_bytes: int
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "new_classes": list(self.new_classes),
-            "per_class": {k: list(v) for k, v in self.per_class.items()},
-            "accuracy": self.accuracy,
-            "base_accuracy": self.base_accuracy,
-            "generation_ms": self.generation_ms,
-            "vote_ms": self.vote_ms,
-            "classify_ms": self.classify_ms,
-            "subgraph_bytes": self.subgraph_bytes,
-        }
-
-    def comparable(self) -> dict:
-        doc = self.to_dict()
-        for key in ("generation_ms", "vote_ms", "classify_ms"):
-            doc.pop(key)
-        return doc
 
 
 @dataclass
@@ -191,13 +173,9 @@ class OrderResult:
             "hacc": self.hacc,
         }
 
-    def comparable(self) -> dict:
-        doc = self.to_dict()
-        doc["sessions"] = [s.comparable() for s in self.sessions]
-        return doc
-
 
 METRICS = ("avg", "last", "pd", "hacc")
+TIMINGS = ("generation_ms", "vote_ms", "classify_ms")  # per sample, the stage times of a session
 
 
 @dataclass
@@ -228,7 +206,10 @@ class MetricsReport:
         Wall-clock timing fields are the one exception and are stripped.
         """
         doc = self.to_dict()
-        doc["orders"] = [o.comparable() for o in self.orders]
+        for order in doc["orders"]:
+            for session in order["sessions"]:
+                for key in TIMINGS:
+                    del session[key]
         return doc
 
     def format_summary(self) -> str:
@@ -248,9 +229,7 @@ class MetricsReport:
                     "n_seen": len(s.per_class),
                     "accuracy": f"{s.accuracy * 100:.2f}",
                     "base_accuracy": f"{s.base_accuracy * 100:.2f}",
-                    "generation_ms": f"{s.generation_ms:.4f}",
-                    "vote_ms": f"{s.vote_ms:.4f}",
-                    "classify_ms": f"{s.classify_ms:.4f}",
+                    **{key: f"{getattr(s, key):.4f}" for key in TIMINGS},
                     "subgraph_bytes": s.subgraph_bytes,
                 })
         return rows
@@ -290,6 +269,7 @@ def _eval_class(ctx: dict, cname: str) -> dict:
         "name": cname,
         "correct": sum(batch.final_class(s) == cname for s in range(len(texts))),
         "total": ctx["samples"],
+        "chars": sum(map(len, texts)),
         "generation_ms": gen_ms,
         "vote_ms": batch.vote_ms,
         "classify_ms": batch.classify_ms,
@@ -410,9 +390,7 @@ def _run_order(graph, schedule, names, generator, r_target, encoder, seed,
             per_class=per_class,
             accuracy=n_correct / n_total,
             base_accuracy=base_correct / base_total,
-            generation_ms=sum(r["generation_ms"] for r in rows) / n_total,
-            vote_ms=sum(r["vote_ms"] for r in rows) / n_total,
-            classify_ms=sum(r["classify_ms"] for r in rows) / n_total,
+            **{key: sum(r[key] for r in rows) / n_total for key in TIMINGS},
             subgraph_bytes=len(render_export(sub).encode("utf-8")),
         ))
     return OrderResult(seed=seed, sessions=out)
@@ -446,7 +424,8 @@ class BenchReport:
     mean_paths_per_class: float
     avg_text_length_chars: float
     generation_ms: float
-    graph_inference_ms: float
+    vote_ms: float
+    classify_ms: float
     storage_mb: float
     seed: int
 
@@ -456,8 +435,7 @@ class BenchReport:
             ("classes", str(self.classes)),
             ("mean_paths_per_class", f"{self.mean_paths_per_class:.2f}"),
             ("avg_text_length_chars", f"{self.avg_text_length_chars:.1f}"),
-            ("generation_ms", f"{self.generation_ms:.4f}"),
-            ("graph_inference_ms", f"{self.graph_inference_ms:.4f}"),
+            *((key, f"{getattr(self, key):.4f}") for key in TIMINGS),
             ("storage_mb", f"{self.storage_mb:.4f}"),
             ("seed", str(self.seed)),
         ]
@@ -466,30 +444,31 @@ class BenchReport:
 
 def bench(graph: KnowledgeGraph, subgraph: TaskSubgraph, n_samples: int = 1000,
           seed: int = 0) -> BenchReport:
-    """Per-sample generation and vote latency plus export size for a subgraph."""
-    assigned = [cid for cid, a in subgraph.assignments.items() if a.paths]
+    """Per-sample stage latency, as in sessions.csv, plus export size for a subgraph.
+
+    Runs the step `run` runs, one infer_batch per class, on oracle texts
+    against every class of the subgraph at the default encoder; the samples
+    go round-robin over the classes with paths.
+    """
+    assigned = [graph.entities.name(cid) for cid, a in subgraph.assignments.items() if a.paths]
     if not assigned or n_samples < 1:
-        return BenchReport(n_samples, len(subgraph.assignments), 0.0, 0.0, 0.0, 0.0, 0.0, seed)
-    gen = TextGenerator(graph, subgraph, GeneratorConfig(mode="oracle", seed=seed))
-    texts = []
-    t0 = time.perf_counter()
-    for i in range(n_samples):
-        texts.append(gen.generate(assigned[i % len(assigned)], (i,)))
-    gen_ms = (time.perf_counter() - t0) * 1000.0 / n_samples
-    t0 = time.perf_counter()
-    # one text per call: a single call over every text would keep all the
-    # tallies alive and time the garbage collector along with the vote
-    for text in texts:
-        vote_texts([text], subgraph)
-    vote_ms = (time.perf_counter() - t0) * 1000.0 / n_samples
+        return BenchReport(n_samples, len(subgraph.assignments), *[0.0] * 6, seed)
+    candidates = subgraph.class_names()
+    encoder = HashingEncoder()
+    ctx = {"graph": graph, "subgraph": subgraph, "candidates": candidates, "encoder": encoder,
+           "generator": TextGenerator(graph, subgraph, GeneratorConfig(mode="oracle", seed=seed)),
+           "candidate_vectors": encode_candidates(candidates, encoder),
+           "session": 0, "diagnostics": False}
+    per_class, extra = divmod(n_samples, len(assigned))
+    rows = [_eval_class(dict(ctx, samples=per_class + (k < extra)), name)
+            for k, name in enumerate(assigned[:n_samples])]
     paths = sum(len(a.paths) for a in subgraph.assignments.values())
     return BenchReport(
         samples=n_samples,
         classes=len(subgraph.assignments),
         mean_paths_per_class=paths / len(subgraph.assignments),
-        avg_text_length_chars=sum(len(t) for t in texts) / len(texts),
-        generation_ms=gen_ms,
-        graph_inference_ms=vote_ms,
+        avg_text_length_chars=sum(r["chars"] for r in rows) / n_samples,
+        **{key: sum(r[key] for r in rows) / n_samples for key in TIMINGS},
         storage_mb=len(render_export(subgraph).encode("utf-8")) / 1_000_000.0,
         seed=seed,
     )

@@ -75,13 +75,6 @@ def vote_head(triplets, subgraph: TaskSubgraph) -> tuple[VoteTally, str | None]:
     return tally, tally.best()
 
 
-def vote_texts(texts, subgraph: TaskSubgraph) -> list[tuple[VoteTally, str | None]]:
-    """parse -> vote for each text; the step `kgcil bench` times."""
-    relations = subgraph.graph.relations if subgraph.graph is not None else None
-    return [vote_head(parse_triplets(t, relations) if relations is not None else [], subgraph)
-            for t in texts]
-
-
 def augment_text(raw: str, head_name: str | None) -> str:
     if head_name is None:
         return raw
@@ -172,8 +165,10 @@ def infer_batch(texts, subgraph: TaskSubgraph, candidates, encoder,
     Every row is bit-identical to infer() on that text alone. When no
     triplet of a text matches the registry, its row equals classify(text).
     """
+    relations = subgraph.graph.relations if subgraph.graph is not None else None
     t0 = time.perf_counter()
-    votes = vote_texts(texts, subgraph)
+    votes = [vote_head(parse_triplets(t, relations) if relations is not None else [], subgraph)
+             for t in texts]
     t1 = time.perf_counter()
     augmented = [augment_text(t, head) for t, (_, head) in zip(texts, votes)]
     batch = rank_rows(augmented, encoder.encode_batch(augmented), candidates, encoder,
@@ -183,17 +178,10 @@ def infer_batch(texts, subgraph: TaskSubgraph, candidates, encoder,
 
 
 def infer(raw_text: str, subgraph: TaskSubgraph, candidates, encoder,
-          candidate_vectors: np.ndarray | None = None,
-          timings: dict | None = None) -> Prediction:
-    """infer_batch on one text, with the tally kept for diagnostics.
-
-    timings, when given, accumulates "vote_ms" and "classify_ms".
-    """
-    batch = infer_batch([raw_text], subgraph, candidates, encoder, candidate_vectors)
-    if timings is not None:
-        timings["vote_ms"] = timings.get("vote_ms", 0.0) + batch.vote_ms
-        timings["classify_ms"] = timings.get("classify_ms", 0.0) + batch.classify_ms
-    return batch.prediction(0)
+          candidate_vectors: np.ndarray | None = None) -> Prediction:
+    """infer_batch on one text, with the tally kept for diagnostics."""
+    return infer_batch([raw_text], subgraph, candidates, encoder,
+                       candidate_vectors).prediction(0)
 
 
 def prediction_record(raw_text: str, pred: Prediction, relations, top_k: int = 3) -> dict:

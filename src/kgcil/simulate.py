@@ -20,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from .store import KnowledgeGraph
+from .store import KnowledgeGraph, Record
 from .taskgraph import TaskSubgraph
 from .triplet_text import render_training_text
 
@@ -36,7 +36,7 @@ class NoAssignment(ValueError):
 
 
 @dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Record):
     mode: str = "corrupted"
     p_drop: float = 0.0
     p_swap: float = 0.0
@@ -51,16 +51,6 @@ class GeneratorConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "p_drop": self.p_drop,
-            "p_swap": self.p_swap,
-            "p_hypernym": self.p_hypernym,
-            "seed": self.seed,
-            "filler": self.filler,
-        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GeneratorConfig":
@@ -123,8 +113,7 @@ class TextGenerator:
             self._hypernyms[cid] = hyp
 
     def _clause(self, path) -> str:
-        rel = "_".join(self.graph.relations.name(r) for r in path.relations)
-        return f"{rel} {self.graph.entities.name(path.tail)}"
+        return f"{self.graph.relations.label(path.relations)} {self.graph.entities.name(path.tail)}"
 
     def _rng(self, sample_key) -> np.random.Generator:
         if isinstance(sample_key, (tuple, list)):

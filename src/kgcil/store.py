@@ -9,9 +9,8 @@ sorted-array indexes via binary search, so lookups never scan the fact table.
 from __future__ import annotations
 
 import codecs
-import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,6 +41,13 @@ class EmptyGraph(ValueError):
     """No facts survived loading."""
 
 
+class Record:
+    """Base of the result dataclasses: to_dict() holds their fields in order."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 @dataclass(frozen=True)
 class Fact:
     head: int
@@ -50,34 +56,24 @@ class Fact:
 
 
 @dataclass(frozen=True)
-class LoadStats:
+class LoadStats(Record):
     entities: int
     relations: int
     facts: int
     duplicates_dropped: int
     self_loops_dropped: int
 
-    def to_dict(self) -> dict:
-        return {
-            "entities": self.entities,
-            "relations": self.relations,
-            "facts": self.facts,
-            "duplicates_dropped": self.duplicates_dropped,
-            "self_loops_dropped": self.self_loops_dropped,
-        }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+class _Memo(dict):
+    """fn(key) on first sight of key; every later lookup is one dict probe."""
 
-
-class _KeywordMemo(dict):
-    def __init__(self, table: "NameTable"):
+    def __init__(self, fn):
         super().__init__()
-        self._table = table
+        self._fn = fn
 
-    def __missing__(self, token: str) -> tuple[int, ...]:
-        rels = self[token] = self._table.resolve(token, fold=True) or ()
-        return rels
+    def __missing__(self, key):
+        value = self[key] = self._fn(key)
+        return value
 
 
 class NameTable:
@@ -87,7 +83,8 @@ class NameTable:
         self._names: list[str] = []
         self._ids: dict[str, int] = {}
         self._lower: dict[str, int] | None = None
-        self._keywords: _KeywordMemo | None = None
+        self._keywords: _Memo | None = None
+        self._readable: _Memo | None = None
 
     @classmethod
     def from_names(cls, names: list[str]) -> "NameTable":
@@ -103,8 +100,7 @@ class NameTable:
             idx = len(self._names)
             self._names.append(name)
             self._ids[name] = idx
-            self._lower = None
-            self._keywords = None
+            self._lower = self._keywords = self._readable = None
         return idx
 
     def get(self, name: str) -> int | None:
@@ -124,6 +120,10 @@ class NameTable:
                 low.setdefault(name.lower(), idx)
             self._lower = low
         return self._lower
+
+    def label(self, ids) -> str:
+        """'Rel' or 'Rel1_Rel2', a path's text; resolve reads it back unless names collide."""
+        return "_".join(self._names[i] for i in ids)
 
     def resolve(self, label: str, fold: bool = False) -> tuple[int, ...] | None:
         """Ids named by 'Rel' or 'Rel1_Rel2'; None when the label names neither.
@@ -154,8 +154,17 @@ class NameTable:
         occurrence is one dict lookup; dropped on the next intern.
         """
         if self._keywords is None:
-            self._keywords = _KeywordMemo(self)
+            self._keywords = _Memo(lambda token: self.resolve(token, fold=True) or ())
         return self._keywords
+
+    def readable(self) -> dict[tuple[int, ...], bool]:
+        """Ids -> resolve(label(ids), fold=True) == ids: the path's text parses back to it.
+
+        A memo like keywords(), dropped on the next intern.
+        """
+        if self._readable is None:
+            self._readable = _Memo(lambda ids: self.resolve(self.label(ids), fold=True) == ids)
+        return self._readable
 
     def __len__(self) -> int:
         return len(self._names)
@@ -261,7 +270,7 @@ class KnowledgeGraph:
         return out
 
 
-def load_graph(path, format: str = "tsv") -> KnowledgeGraph:
+def load_graph(path) -> KnowledgeGraph:
     """Load a graph from a tab-separated head/relation/tail UTF-8 file.
 
     One leading byte-order mark is ignored and CRLF or lone-CR line endings
@@ -271,8 +280,6 @@ def load_graph(path, format: str = "tsv") -> KnowledgeGraph:
     name that normalizes to the empty string, UnicodeDecodeError for a file
     that is not UTF-8, and EmptyGraph when nothing survives.
     """
-    if format != "tsv":
-        raise ValueError(f"unsupported graph format: {format!r}")
     columns, line_no, first_short = _read_tsv(path)
 
     def malformed(i: int) -> MalformedLine:

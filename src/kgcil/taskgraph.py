@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .store import KnowledgeGraph, normalize_name
+from .store import KnowledgeGraph, Record, normalize_name
 
 PairKey = tuple[tuple[int, ...], int]
 
@@ -45,7 +45,7 @@ class ClassAssignment:
 
 
 @dataclass
-class ClassGrant:
+class ClassGrant(Record):
     """Allocation outcome for a single class in one extension."""
 
     name: str
@@ -54,28 +54,12 @@ class ClassGrant:
     fallback_used: bool
     unknown: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "requested": self.requested,
-            "granted": self.granted,
-            "fallback_used": self.fallback_used,
-            "unknown": self.unknown,
-        }
-
 
 @dataclass
-class AllocationReport:
+class AllocationReport(Record):
     grants: list[ClassGrant] = field(default_factory=list)
     shortfall: list[str] = field(default_factory=list)
     unknown: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "grants": [g.to_dict() for g in self.grants],
-            "shortfall": list(self.shortfall),
-            "unknown": list(self.unknown),
-        }
 
 
 class TaskSubgraph:
@@ -114,11 +98,15 @@ def extend_subgraph(subgraph: TaskSubgraph, new_classes, graph: KnowledgeGraph,
     Unknown class names are collected in the report rather than raised; they
     end up in both the unknown and shortfall lists. Classes whose direct facts
     are exhausted fall back to two-hop chains; whatever is still missing after
-    that is recorded as shortfall.
+    that is recorded as shortfall. A path is granted only when its rendered
+    label parses back to its own relations, so the text of every grant votes
+    for its class: with relations Made, Of and Made_Of, the pair (Made, Of)
+    renders as Made_Of and is not granted.
     """
     if r_target < 1:
         raise ValueError(f"r_target must be >= 1, got {r_target}")
     subgraph._bind(graph)
+    readable = graph.relations.readable()
     task_index = subgraph.tasks
     report = AllocationReport()
     for raw in new_classes:
@@ -136,7 +124,7 @@ def extend_subgraph(subgraph: TaskSubgraph, new_classes, graph: KnowledgeGraph,
             if len(paths) >= r_target:
                 break
             key = ((fact.relation,), fact.tail)
-            if key in subgraph.pair_to_class:
+            if key in subgraph.pair_to_class or not readable[key[0]]:
                 continue
             paths.append(RelationPath((fact.relation,), fact.tail))
             subgraph.pair_to_class[key] = cid
@@ -146,7 +134,7 @@ def extend_subgraph(subgraph: TaskSubgraph, new_classes, graph: KnowledgeGraph,
                 if len(paths) >= r_target:
                     break
                 key = (rels, tail)
-                if key in subgraph.pair_to_class:
+                if key in subgraph.pair_to_class or not readable[rels]:
                     continue
                 paths.append(RelationPath(rels, tail))
                 subgraph.pair_to_class[key] = cid
@@ -166,19 +154,16 @@ def render_export(subgraph: TaskSubgraph) -> str:
     for a in subgraph.assignments.values():
         cname = graph.entities.name(a.class_id)
         for p in a.paths:
-            rel = "_".join(graph.relations.name(r) for r in p.relations)
+            rel = graph.relations.label(p.relations)
             lines.append(f"{a.task_index}\t{cname}\t{rel}\t{graph.entities.name(p.tail)}")
     return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
-class ExportStats:
+class ExportStats(Record):
     classes: int
     paths: int
     bytes: int
-
-    def to_dict(self) -> dict:
-        return {"classes": self.classes, "paths": self.paths, "bytes": self.bytes}
 
 
 def export_subgraph(subgraph: TaskSubgraph, path) -> ExportStats:

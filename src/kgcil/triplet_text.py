@@ -58,8 +58,7 @@ def render_training_text(assignment, graph: KnowledgeGraph) -> TrainingText:
     cname = graph.entities.name(assignment.class_id)
     clauses = []
     for p in assignment.paths:
-        rel = "_".join(graph.relations.name(r) for r in p.relations)
-        clauses.append(f"{cname} {rel} {graph.entities.name(p.tail)}")
+        clauses.append(f"{cname} {graph.relations.label(p.relations)} {graph.entities.name(p.tail)}")
     return TrainingText(assignment.class_id, ". ".join(clauses) + ".")
 
 

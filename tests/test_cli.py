@@ -189,6 +189,54 @@ class TestRun:
         assert json.loads(out)["summary"]["last"]["mean"] == 1.0
 
 
+class TestKeyOrder:
+    """The printed key order of every record, which sort_keys in the golden fixture leaves unpinned."""
+
+    def test_ingest_build_and_run_key_order(self, capsys, synth_tsv, tmp_path):
+        code, out, _ = run_cli(capsys, "ingest", str(synth_tsv))
+        assert code == EXIT_OK
+        assert list(json.loads(out)) == [
+            "entities", "relations", "facts", "duplicates_dropped", "self_loops_dropped"]
+
+        classes = tmp_path / "classes.txt"
+        classes.write_text(f"{class_name(0)}\nunicorn\n")
+        code, out, _ = run_cli(capsys, "build", "--graph", str(synth_tsv), "--classes",
+                               str(classes), "--out", str(tmp_path / "sub.tsv"))
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert list(report) == ["tasks", "export", "grants", "shortfall", "unknown"]
+        assert list(report["export"]) == ["path", "classes", "paths", "bytes"]
+        for grant in report["grants"]:
+            assert list(grant) == ["name", "requested", "granted", "fallback_used", "unknown"]
+
+        cfg = TestRun().write_config(tmp_path, synth_tsv, compare_baseline=True, orders=[0])
+        code, out, _ = run_cli(capsys, "run", str(cfg))
+        assert code == EXIT_OK
+        on_disk = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        assert json.loads(out) == on_disk
+        for doc in (on_disk, on_disk["comparison"]["baseline"]):
+            assert list(doc)[:4] == ["caveat", "config", "orders", "summary"]
+            config = doc["config"]
+            assert list(config)[:6] == ["generator", "r_target", "orders", "schedule", "encoder",
+                                        "class_text_mode"]
+            assert list(config["generator"]) == ["mode", "p_drop", "p_swap", "p_hypernym",
+                                                 "seed", "filler"]
+            assert list(config["schedule"]) == ["kind", "classes", "n_tasks", "base_size",
+                                                "n_incremental", "way", "shot",
+                                                "samples_per_class"]
+            order = doc["orders"][0]
+            assert list(order) == ["seed", "sessions", "avg", "last", "pd", "hacc"]
+            for session in order["sessions"]:
+                assert list(session) == ["index", "new_classes", "per_class", "accuracy",
+                                         "base_accuracy", "generation_ms", "vote_ms",
+                                         "classify_ms", "subgraph_bytes"]
+        assert list(on_disk)[4:] == ["comparison"]
+        assert list(on_disk["comparison"]) == ["baseline", "margins"]
+        header = (tmp_path / "out" / "sessions.csv").read_text().splitlines()[0]
+        assert header == ("arm,order_seed,session,n_seen,accuracy,base_accuracy,"
+                          "generation_ms,vote_ms,classify_ms,subgraph_bytes")
+
+
 class TestQuery:
     @pytest.fixture
     def built(self, capsys, fruit_tsv, tmp_path):
@@ -256,3 +304,21 @@ class TestBenchCommand:
         assert rows["samples"] == "20"
         assert rows["classes"] == "6"
         assert float(rows["generation_ms"]) > 0
+
+    def test_stage_rows_are_session_columns(self, capsys, synth_tsv, tmp_path):
+        classes = tmp_path / "classes.txt"
+        classes.write_text("".join(f"{class_name(i)}\n" for i in range(12)))
+        sub = tmp_path / "sub.tsv"
+        assert main(["build", "--graph", str(synth_tsv), "--classes", str(classes),
+                     "--out", str(sub)]) == EXIT_OK
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "bench", "--graph", str(synth_tsv),
+                               "--subgraph", str(sub), "-n", "30")
+        assert code == EXIT_OK
+        metrics = [line.split("\t")[0] for line in out.splitlines()]
+        stages = [m for m in metrics if m.endswith("_ms")]
+        assert stages == ["generation_ms", "vote_ms", "classify_ms"]
+        cfg = TestRun().write_config(tmp_path, synth_tsv, orders=[0])
+        assert main(["run", str(cfg)]) == EXIT_OK
+        header = (tmp_path / "out" / "sessions.csv").read_text().splitlines()[0].split(",")
+        assert set(stages) <= set(header)

@@ -265,10 +265,11 @@ class TestBench:
         assert report.classes == 6
         assert report.mean_paths_per_class == pytest.approx(3.0)
         assert report.generation_ms > 0.0
-        assert report.graph_inference_ms > 0.0
+        assert report.vote_ms > 0.0
+        assert report.classify_ms > 0.0
         assert report.storage_mb > 0.0
         tsv = report.to_tsv()
         lines = tsv.strip().splitlines()
         assert lines[0] == "metric\tvalue"
-        assert len(lines) == 9
+        assert len(lines) == 10
         assert all(len(line.split("\t")) == 2 for line in lines)

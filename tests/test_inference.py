@@ -221,27 +221,14 @@ class TestInfer:
         assert pred.final_class == plain.final_class
         assert pred.similarity_scores == plain.similarity_scores
 
-    def test_timings_accumulate(self, fruit_graph, fruit_sub):
-        enc = HashingEncoder(64)
-        names = ["granny_smith", "pineapple"]
-        timings = {}
-        infer("it IsA fruit.", fruit_sub, names, enc, timings=timings)
-        first = dict(timings)
-        assert first["vote_ms"] > 0.0
-        assert first["classify_ms"] > 0.0
-        infer("it IsA fruit.", fruit_sub, names, enc, timings=timings)
-        assert timings["vote_ms"] > first["vote_ms"]
-        assert timings["classify_ms"] > first["classify_ms"]
-        batch = infer_batch(["it IsA fruit.", "it AtLocation pizza."], fruit_sub, names, enc)
-        assert batch.vote_ms > 0.0
-        assert batch.classify_ms > 0.0
-
     def test_batch_rows_equal_single_infer(self, fruit_graph, fruit_sub):
         enc = HashingEncoder(64)
         names = ["granny_smith", "pineapple"]
         texts = ["it IsA fruit.", "", "it AtLocation pizza. it AtLocation store.",
                  "This is a photo of a apple", "it IsA fruit. it AtLocation pizza."]
         batch = infer_batch(texts, fruit_sub, names, enc, encode_candidates(names, enc))
+        assert batch.vote_ms > 0.0  # the batch's own stage timers
+        assert batch.classify_ms > 0.0
         for i, text in enumerate(texts):
             single = infer(text, fruit_sub, names, enc)
             got = batch.prediction(i)

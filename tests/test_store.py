@@ -73,10 +73,6 @@ class TestLoad:
         with pytest.raises(EmptyGraph):
             load_graph(path)
 
-    def test_unknown_format(self, fruit_tsv):
-        with pytest.raises(ValueError):
-            load_graph(fruit_tsv, format="jsonl")
-
     def test_load_determinism(self, fruit_tsv):
         g1, g2 = load_graph(fruit_tsv), load_graph(fruit_tsv)
         assert g1.entities.names() == g2.entities.names()

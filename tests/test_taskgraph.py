@@ -4,6 +4,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgcil import (
     KnowledgeGraph,
@@ -12,7 +14,10 @@ from kgcil import (
     export_subgraph,
     extend_subgraph,
     import_subgraph,
+    parse_triplets,
     render_export,
+    render_training_text,
+    vote_head,
 )
 from kgcil.synthetic import class_name, synthetic_graph
 
@@ -213,3 +218,79 @@ class TestInvariantsRandomized:
             extend_subgraph(sub, names[6:], g, 3)
             exports.append(render_export(sub))
         assert exports[0] == exports[1]
+
+
+# -- exclusivity of the rendered text ----------------------------------------
+
+def read_back(sub, graph, cname):
+    """The vote tally and head that the class's own rendered text gets."""
+    text = render_training_text(sub.assignments[graph.entity_id(cname)], graph).text
+    return vote_head(parse_triplets(text, graph.relations), sub)
+
+
+class TestTextExclusivity:
+    def test_pair_label_naming_one_relation_not_granted(self):
+        # (Made, Of) renders as Made_Of, which parses as the single relation bee owns
+        g = KnowledgeGraph.from_facts([("bee", "Made_Of", "x"), ("zed", "Made", "m"),
+                                       ("m", "Of", "x")])
+        sub = TaskSubgraph()
+        extend_subgraph(sub, ["bee"], g, 2)
+        _, report = extend_subgraph(sub, ["zed"], g, 2)
+        assert grant_names(sub, g, "zed") == [("Made", "m")]
+        assert report.shortfall == ["zed"]
+        tally, head = read_back(sub, g, "zed")
+        assert tally.counts == {"zed": 1}
+        assert head == "zed"
+
+    def test_label_folding_onto_another_relation_not_granted(self):
+        # isa parses case-folded to IsA, the first of the two ids
+        g = KnowledgeGraph.from_facts([("c1", "IsA", "fruit"), ("c2", "isa", "veg"),
+                                       ("c2", "Color", "green")])
+        sub = TaskSubgraph()
+        extend_subgraph(sub, ["c1", "c2"], g, 1)
+        assert grant_names(sub, g, "c2") == [("Color", "green")]
+        tally, head = read_back(sub, g, "c2")
+        assert tally.counts == {"c2": 1}
+        assert head == "c2"
+
+
+RELATION_POOL = ["Made", "Of", "Made_Of", "made", "MADE_of", "Of_Made", "IsA", "isa", "ISA",
+                 "A", "B", "A_B", "B_C", "C", "a_b"]
+
+
+@st.composite
+def colliding_graphs(draw):
+    """Graphs whose relation names hold '_' and case collisions; entity names never do."""
+    rels = draw(st.lists(st.sampled_from(RELATION_POOL), min_size=1, max_size=8, unique=True))
+    n_classes = draw(st.integers(min_value=1, max_value=8))
+    n_tails = draw(st.integers(min_value=1, max_value=6))
+    ents = [f"c{i}" for i in range(n_classes)] + [f"t{i}" for i in range(n_tails)]
+    fact = st.tuples(st.sampled_from(ents), st.sampled_from(rels), st.sampled_from(ents))
+    facts = [f for f in draw(st.lists(fact, min_size=1, max_size=40)) if f[0] != f[2]]
+    if not facts:
+        facts = [("c0", rels[0], "t0")]
+    graph = KnowledgeGraph.from_facts(facts)
+    classes = [c for c in ents[:n_classes] if graph.entity_id(c) is not None]
+    return graph, classes, draw(st.integers(min_value=1, max_value=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(colliding_graphs())
+def test_granted_paths_read_back_to_their_class(tmp_path_factory, case):
+    graph, classes, r = case
+    sub = TaskSubgraph()
+    for i in range(0, len(classes), 3):
+        extend_subgraph(sub, classes[i:i + 3], graph, r)
+    for cid, a in sub.assignments.items():
+        if not a.paths:
+            continue
+        cname = graph.entity_name(cid)
+        text = render_training_text(a, graph).text
+        parsed = parse_triplets(text, graph.relations)
+        assert [(p.relations, graph.entity_id(p.tail)) for p in parsed] == [p.key for p in a.paths]
+        tally, head = read_back(sub, graph, cname)
+        assert tally.counts == {cname: len(a.paths)}
+        assert head == cname
+    out = tmp_path_factory.mktemp("collide") / "sub.tsv"
+    export_subgraph(sub, out)
+    assert import_subgraph(out, graph).pair_to_class == sub.pair_to_class

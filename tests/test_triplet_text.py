@@ -276,3 +276,7 @@ def test_keyword_table_follows_new_relations():
     assert parse_triplets("it HasA tail", table) == []
     table.intern("HasA")
     assert [p.tail for p in parse_triplets("it HasA tail", table)] == ["tail"]
+    made, of = table.intern("Made"), table.intern("Of")
+    assert table.readable()[(made, of)]
+    table.intern("Made_Of")  # Made_Of now reads as the new relation
+    assert not table.readable()[(made, of)]
