@@ -53,17 +53,31 @@ class HashingEncoder:
     def encode_batch(self, texts) -> np.ndarray:
         """One unit-norm (or all-zero) row per text, shape (len(texts), dimension).
 
-        Counts are small integers, so their sum of squares is exact in any
-        summation order and every row is the same bits however many texts
-        share the batch.
+        '.' splits tokens, so a text's buckets are its '.'-pieces' buckets in
+        order; each distinct piece is tokenized once per call. Counts are
+        small integers, so their sum of squares is exact in any summation
+        order and every row is the same bits however many texts share the
+        batch.
         """
         n, dim = len(texts), self.dimension
-        tokens = [_TOKEN_RE.findall(text.lower()) for text in texts]
-        flat = list(chain.from_iterable(tokens))
-        for token in set(flat).difference(self._buckets):
-            self._buckets[token] = fnv1a_64(token.encode("utf-8")) % dim
-        cells = np.repeat(np.arange(n, dtype=np.int64) * dim, [len(t) for t in tokens])
-        cells += np.fromiter(map(self._buckets.__getitem__, flat), np.int64, len(flat))
+        buckets = self._buckets
+        pieces: dict[str, list[int]] = {}
+        rows = []
+        for text in texts:
+            row: list[int] = []
+            for piece in text.split("."):
+                found = pieces.get(piece)
+                if found is None:
+                    tokens = _TOKEN_RE.findall(piece.lower())
+                    for token in tokens:
+                        if token not in buckets:
+                            buckets[token] = fnv1a_64(token.encode("utf-8")) % dim
+                    found = pieces[piece] = [buckets[token] for token in tokens]
+                row += found
+            rows.append(row)
+        lengths = [len(row) for row in rows]
+        cells = np.repeat(np.arange(n, dtype=np.int64) * dim, lengths)
+        cells += np.fromiter(chain.from_iterable(rows), np.int64, sum(lengths))
         out = np.bincount(cells, minlength=n * dim).reshape(n, dim).astype(np.float64)
         norms = np.sqrt((out * out).sum(axis=1, keepdims=True))
         np.divide(out, norms, out=out, where=norms > 0)

@@ -246,14 +246,12 @@ def _eval_class(ctx: dict, cname: str) -> dict:
     gen: TextGenerator = ctx["generator"]
     cid = graph.entities.get(cname)
     session = ctx["session"]
-    texts = []
+    keys = [(session, cid, s) for s in range(ctx["samples"])]
     t0 = time.perf_counter()
-    for s in range(ctx["samples"]):
-        key = (session, cid, s)
-        try:
-            texts.append(gen.generate(cid, key))
-        except NoAssignment:
-            texts.append(gen.baseline_text(cid, key))
+    try:
+        texts = gen.generate_batch(cid, keys)
+    except NoAssignment:
+        texts = gen.generate_batch(cid, keys, baseline=True)
     gen_ms = (time.perf_counter() - t0) * 1000.0
     batch = infer_batch(texts, ctx["subgraph"], ctx["candidates"], ctx["encoder"],
                         ctx["candidate_vectors"])
@@ -442,13 +440,18 @@ class BenchReport:
         return "metric\tvalue\n" + "\n".join(f"{k}\t{v}" for k, v in rows) + "\n"
 
 
+# the generator whose time `run` spends: corrupted clauses in filler, as in demos/05
+_BENCH_GENERATOR = {"mode": "corrupted", "p_drop": 0.3, "p_swap": 0.3, "filler": True}
+
+
 def bench(graph: KnowledgeGraph, subgraph: TaskSubgraph, n_samples: int = 1000,
           seed: int = 0) -> BenchReport:
     """Per-sample stage latency, as in sessions.csv, plus export size for a subgraph.
 
-    Runs the step `run` runs, one infer_batch per class, on oracle texts
-    against every class of the subgraph at the default encoder; the samples
-    go round-robin over the classes with paths.
+    Runs the step `run` runs, one infer_batch per class, on texts of the
+    corrupted generator with filler (p_drop = p_swap = 0.3) against every
+    class of the subgraph at the default encoder; the samples go round-robin
+    over the classes with paths.
     """
     assigned = [graph.entities.name(cid) for cid, a in subgraph.assignments.items() if a.paths]
     if not assigned or n_samples < 1:
@@ -456,7 +459,7 @@ def bench(graph: KnowledgeGraph, subgraph: TaskSubgraph, n_samples: int = 1000,
     candidates = subgraph.class_names()
     encoder = HashingEncoder()
     ctx = {"graph": graph, "subgraph": subgraph, "candidates": candidates, "encoder": encoder,
-           "generator": TextGenerator(graph, subgraph, GeneratorConfig(mode="oracle", seed=seed)),
+           "generator": TextGenerator(graph, subgraph, GeneratorConfig(seed=seed, **_BENCH_GENERATOR)),
            "candidate_vectors": encode_candidates(candidates, encoder),
            "session": 0, "diagnostics": False}
     per_class, extra = divmod(n_samples, len(assigned))

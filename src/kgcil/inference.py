@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .taskgraph import TaskSubgraph
-from .triplet_text import ParsedTriplet, parse_triplets
+from .triplet_text import ParsedTriplet, parse_batch
 
 
 class EmptyCandidates(ValueError):
@@ -167,8 +167,8 @@ def infer_batch(texts, subgraph: TaskSubgraph, candidates, encoder,
     """
     relations = subgraph.graph.relations if subgraph.graph is not None else None
     t0 = time.perf_counter()
-    votes = [vote_head(parse_triplets(t, relations) if relations is not None else [], subgraph)
-             for t in texts]
+    parsed = parse_batch(texts, relations) if relations is not None else [[]] * len(texts)
+    votes = [vote_head(triplets, subgraph) for triplets in parsed]
     t1 = time.perf_counter()
     augmented = [augment_text(t, head) for t, (_, head) in zip(texts, votes)]
     batch = rank_rows(augmented, encoder.encode_batch(augmented), candidates, encoder,

@@ -16,6 +16,7 @@ parallelized and replayed.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -92,6 +93,110 @@ def build_confusables(subgraph: TaskSubgraph, graph: KnowledgeGraph) -> dict[str
     }
 
 
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx): hash constants and pool size
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_OTHERS = [[d for d in range(_POOL) if d != src] for src in range(_POOL)]
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(entropy) -> list[int]:
+    """Ints as little-endian uint32 words, the way SeedSequence reads a sequence of ints."""
+    out = []
+    for value in entropy:
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        out.append(value & _MASK32)
+        value >>= 32
+        while value:
+            out.append(value & _MASK32)
+            value >>= 32
+    return out
+
+
+@lru_cache(maxsize=None)
+def _hash_consts(h: int, mult: int, n: int) -> np.ndarray:
+    """The running hash constant before each of n hash steps and after the last, as a column."""
+    out = [h]
+    for _ in range(n):
+        h = h * mult & _MASK32
+        out.append(h)
+    column = np.array(out, np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def _hashmix(value: np.ndarray, h: np.ndarray) -> np.ndarray:
+    # SeedSequence's hashmix for len(h) - 1 consecutive steps; uint32 arrays wrap like C
+    value = (value ^ h[:-1]) * h[1:]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ (out >> 16)
+
+
+def _seed_states(entropies) -> np.ndarray:
+    """SeedSequence(e).generate_state(4, np.uint64) for every entropy tuple e, shape (n, 4).
+
+    NumPy's algorithm, run on all rows of one word count at once. Words past
+    the pool are mixed in one by one, so only rows of up to four words share
+    a block (shorter rows pad with 0, as SeedSequence itself does). Raises
+    ValueError on a negative int, as SeedSequence does.
+    """
+    words = [_words(e) for e in entropies]
+    out = np.empty((len(words), 4), np.uint64)
+    blocks: dict[int, list[int]] = {}
+    for i, w in enumerate(words):
+        blocks.setdefault(max(len(w), _POOL), []).append(i)
+    for width, rows in blocks.items():
+        entropy = np.array([words[i] + [0] * (width - len(words[i])) for i in rows], np.uint32).T
+        h = _hash_consts(_INIT_A, _MULT_A, _POOL * (width - 1) + _POOL)
+        pool = _hashmix(entropy[:_POOL], h[:_POOL + 1])
+        k = _POOL
+        for src, dst in enumerate(_OTHERS):
+            pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[k:k + _POOL]))
+            k += _POOL - 1
+        for src in range(_POOL, width):
+            pool = _mix(pool, _hashmix(entropy[src], h[k:k + _POOL + 1]))
+            k += _POOL
+        state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_consts(_INIT_B, _MULT_B, 8))
+        out[rows] = np.ascontiguousarray(state.T).astype("<u4", copy=False).view("<u8")
+    return out
+
+
+class _SeedState:
+    """A precomputed generate_state(4, np.uint64), all PCG64 asks of its seed sequence.
+
+    Registered as a numpy.random ISeedSequence on first use (sample_streams),
+    so importing kgcil does not load numpy.random.
+    """
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError("only PCG64's seeding request is precomputed")
+        return self._state
+
+
+def sample_streams(seed: int, sample_keys) -> list[np.random.Generator]:
+    """np.random.default_rng((seed, *key)) for every sample key, seeded in one pass.
+
+    A key is an int or a tuple of ints. Each stream is bit-identical to the
+    default_rng one; only the SeedSequence hashing is batched (_seed_states).
+    """
+    np.random.bit_generator.ISeedSequence.register(_SeedState)  # a no-op once registered
+    entropy = [(seed, *map(int, key if isinstance(key, (tuple, list)) else (key,)))
+               for key in sample_keys]
+    return [np.random.Generator(np.random.PCG64(_SeedState(state)))
+            for state in _seed_states(entropy)]
+
+
 class TextGenerator:
     """Per-subgraph generator; everything random hangs off (seed, sample key)."""
 
@@ -115,28 +220,29 @@ class TextGenerator:
     def _clause(self, path) -> str:
         return f"{self.graph.relations.label(path.relations)} {self.graph.entities.name(path.tail)}"
 
-    def _rng(self, sample_key) -> np.random.Generator:
-        if isinstance(sample_key, (tuple, list)):
-            key = tuple(int(k) for k in sample_key)
-        else:
-            key = (int(sample_key),)
-        return np.random.default_rng((self.config.seed,) + key)
+    def generate_batch(self, class_id: int, sample_keys, baseline: bool = False) -> list[str]:
+        """One description per sample key, each as generate() gives it alone.
 
-    def generate(self, class_id: int, sample_key) -> str:
-        """One description for the class; deterministic per (seed, sample_key)."""
-        if self.config.mode == "baseline_gmm":
-            return self._baseline(class_id, self._rng(sample_key))
-        if not self._clauses.get(class_id):
+        baseline=True draws bare captions whatever the configured mode (the
+        harness's fallback for a class with no paths).
+        """
+        mode = "baseline_gmm" if baseline else self.config.mode
+        if mode != "baseline_gmm" and not self._clauses.get(class_id):
             raise NoAssignment(
                 f"class {self.graph.entities.name(class_id)!r} has no allocated paths"
             )
-        if self.config.mode == "oracle":
-            return self._oracle[class_id]
-        return self._corrupted(class_id, self._rng(sample_key))
+        if mode == "oracle":
+            return [self._oracle[class_id]] * len(sample_keys)
+        draw = self._baseline if mode == "baseline_gmm" else self._corrupted
+        return [draw(class_id, rng) for rng in sample_streams(self.config.seed, sample_keys)]
+
+    def generate(self, class_id: int, sample_key) -> str:
+        """One description for the class; deterministic per (seed, sample_key)."""
+        return self.generate_batch(class_id, [sample_key])[0]
 
     def baseline_text(self, class_id: int, sample_key) -> str:
         """Baseline caption regardless of configured mode (shortfall fallback)."""
-        return self._baseline(class_id, self._rng(sample_key))
+        return self.generate_batch(class_id, [sample_key], baseline=True)[0]
 
     def _baseline(self, cid: int, rng: np.random.Generator) -> str:
         mention = self.graph.entities.name(cid)

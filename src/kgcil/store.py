@@ -76,6 +76,10 @@ class _Memo(dict):
         return value
 
 
+def _keyword(table: "NameTable", token: str) -> tuple[int, ...]:
+    return table.resolve(token, fold=True) or ()
+
+
 class NameTable:
     """Dense id <-> name bijection, ids assigned in first-seen order."""
 
@@ -83,8 +87,7 @@ class NameTable:
         self._names: list[str] = []
         self._ids: dict[str, int] = {}
         self._lower: dict[str, int] | None = None
-        self._keywords: _Memo | None = None
-        self._readable: _Memo | None = None
+        self._memos: dict = {}
 
     @classmethod
     def from_names(cls, names: list[str]) -> "NameTable":
@@ -100,7 +103,8 @@ class NameTable:
             idx = len(self._names)
             self._names.append(name)
             self._ids[name] = idx
-            self._lower = self._keywords = self._readable = None
+            self._lower = None
+            self._memos = {}
         return idx
 
     def get(self, name: str) -> int | None:
@@ -147,24 +151,22 @@ class NameTable:
             pos = label.find("_", pos + 1)
         return None
 
+    def memo(self, fn) -> "_Memo":
+        """key -> fn(self, key), computed on first sight of key; dropped on the next intern.
+
+        One memo per fn, so each rule derived from the names keeps its own.
+        """
+        memo = self._memos.get(fn)
+        if memo is None:
+            memo = self._memos[fn] = _Memo(lambda key: fn(self, key))
+        return memo
+
     def keywords(self) -> dict[str, tuple[int, ...]]:
         """Token -> resolve(token, fold=True), () for a token naming nothing.
 
-        A memo that resolves each token on first sight, so every later
-        occurrence is one dict lookup; dropped on the next intern.
+        A memo, so every later occurrence of a token is one dict lookup.
         """
-        if self._keywords is None:
-            self._keywords = _Memo(lambda token: self.resolve(token, fold=True) or ())
-        return self._keywords
-
-    def readable(self) -> dict[tuple[int, ...], bool]:
-        """Ids -> resolve(label(ids), fold=True) == ids: the path's text parses back to it.
-
-        A memo like keywords(), dropped on the next intern.
-        """
-        if self._readable is None:
-            self._readable = _Memo(lambda ids: self.resolve(self.label(ids), fold=True) == ids)
-        return self._readable
+        return self.memo(_keyword)
 
     def __len__(self) -> int:
         return len(self._names)
@@ -229,15 +231,15 @@ class KnowledgeGraph:
     def relation_name(self, idx: int) -> str:
         return self.relations.name(idx)
 
-    def _head_range(self, head: int) -> tuple[int, int]:
-        lo = int(self._h.searchsorted(head, "left"))
-        hi = int(self._h.searchsorted(head, "right"))
-        return lo, hi
+    def _head_edges(self, head: int) -> zip:
+        """(relation id, tail id) of every fact with this head, in index order."""
+        # ids are integers, so the right edge of head is the left edge of head + 1
+        lo, hi = self._h.searchsorted((head, head + 1)).tolist()
+        return zip(self._r[lo:hi].tolist(), self._t[lo:hi].tolist())
 
     def facts_of(self, head: int) -> list[Fact]:
         """All facts with this head, ordered by (relation id, tail id)."""
-        lo, hi = self._head_range(head)
-        return [Fact(head, int(self._r[i]), int(self._t[i])) for i in range(lo, hi)]
+        return [Fact(head, rel, tail) for rel, tail in self._head_edges(head)]
 
     def heads_for(self, relation: int, tail: int) -> set[int]:
         """Every head h with (h, relation, tail) in the graph; empty when unknown."""
@@ -255,16 +257,11 @@ class KnowledgeGraph:
         `limit` to bound work on hub-heavy heads.
         """
         out: list[tuple[tuple[int, int], int]] = []
-        lo, hi = self._head_range(head)
-        for i in range(lo, hi):
-            r1 = int(self._r[i])
-            mid = int(self._t[i])
-            lo2, hi2 = self._head_range(mid)
-            for j in range(lo2, hi2):
-                o = int(self._t[j])
+        for r1, mid in self._head_edges(head):
+            for r2, o in self._head_edges(mid):
                 if o == head or o == mid:
                     continue
-                out.append(((r1, int(self._r[j])), o))
+                out.append(((r1, r2), o))
                 if len(out) >= limit:
                     return out
         return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .store import KnowledgeGraph, Record, normalize_name
+from .triplet_text import label_reads_back, tail_reads_back
 
 PairKey = tuple[tuple[int, ...], int]
 
@@ -99,14 +100,15 @@ def extend_subgraph(subgraph: TaskSubgraph, new_classes, graph: KnowledgeGraph,
     end up in both the unknown and shortfall lists. Classes whose direct facts
     are exhausted fall back to two-hop chains; whatever is still missing after
     that is recorded as shortfall. A path is granted only when its rendered
-    label parses back to its own relations, so the text of every grant votes
-    for its class: with relations Made, Of and Made_Of, the pair (Made, Of)
-    renders as Made_Of and is not granted.
+    clause parses back to its own relations and tail, so the text of every
+    grant votes for its class: with relations Made, Of and Made_Of, the pair
+    (Made, Of) renders as Made_Of and is not granted, nor is a tail `of`.
     """
     if r_target < 1:
         raise ValueError(f"r_target must be >= 1, got {r_target}")
     subgraph._bind(graph)
-    readable = graph.relations.readable()
+    labels, tails = graph.relations.memo(label_reads_back), graph.relations.memo(tail_reads_back)
+    entity_name = graph.entities.name
     task_index = subgraph.tasks
     report = AllocationReport()
     for raw in new_classes:
@@ -124,7 +126,8 @@ def extend_subgraph(subgraph: TaskSubgraph, new_classes, graph: KnowledgeGraph,
             if len(paths) >= r_target:
                 break
             key = ((fact.relation,), fact.tail)
-            if key in subgraph.pair_to_class or not readable[key[0]]:
+            if (key in subgraph.pair_to_class or not labels[key[0]]
+                    or not tails[entity_name(fact.tail)]):
                 continue
             paths.append(RelationPath((fact.relation,), fact.tail))
             subgraph.pair_to_class[key] = cid
@@ -134,7 +137,8 @@ def extend_subgraph(subgraph: TaskSubgraph, new_classes, graph: KnowledgeGraph,
                 if len(paths) >= r_target:
                     break
                 key = (rels, tail)
-                if key in subgraph.pair_to_class or not readable[rels]:
+                if (key in subgraph.pair_to_class or not labels[rels]
+                        or not tails[entity_name(tail)]):
                     continue
                 paths.append(RelationPath(rels, tail))
                 subgraph.pair_to_class[key] = cid

@@ -27,6 +27,8 @@ INSTRUCTION_PROMPT = (
 )
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|[.,;]")
+_WORD_RE = re.compile(r"[A-Za-z0-9_]+")
+_TAIL_RE = re.compile(r"[a-z0-9_]+")
 _BOUNDARY = {".", ",", ";"}
 _ARTICLES = {"a", "an", "the"}
 
@@ -62,6 +64,27 @@ def render_training_text(assignment, graph: KnowledgeGraph) -> TrainingText:
     return TrainingText(assignment.class_id, ". ".join(clauses) + ".")
 
 
+def label_reads_back(relations: NameTable, rels: tuple[int, ...]) -> bool:
+    """The label of rels is one token whose keyword is rels.
+
+    With tail_reads_back of the tail, this holds exactly when the clause
+    '<label> <tail>' parses to [ParsedTriplet(rels, tail)]; any character
+    outside [A-Za-z0-9_] would split the label into several tokens.
+    """
+    label = relations.label(rels)
+    return _WORD_RE.fullmatch(label) is not None and relations.keywords()[label] == rels
+
+
+def tail_reads_back(relations: NameTable, tail: str) -> bool:
+    """The tail is one lowercase token, neither a keyword nor an article.
+
+    A keyword would open a capture of its own and an article is dropped, so
+    either leaves the clause without its triplet.
+    """
+    return (_TAIL_RE.fullmatch(tail) is not None and tail not in _ARTICLES
+            and relations.resolve(tail, fold=True) is None)
+
+
 def parse_triplets(text: str, relations: NameTable) -> list[ParsedTriplet]:
     """Extract (relation-sequence, tail) pairs from free text.
 
@@ -69,12 +92,35 @@ def parse_triplets(text: str, relations: NameTable) -> list[ParsedTriplet]:
     removed, first occurrence wins. Relations always come from the given
     table, so a parsed triplet can never name an unknown relation.
     """
+    return parse_batch([text], relations)[0]
+
+
+def parse_batch(texts, relations: NameTable) -> list[list[ParsedTriplet]]:
+    """parse_triplets of every text, parsing each distinct '.'-piece once per call.
+
+    '.' ends every capture, so a text's triplets are its pieces' triplets in
+    order, deduplicated. The piece memo lives for one call, so a relation
+    interned between calls is never missed.
+    """
     keywords = relations.keywords()
-    tokens = _TOKEN_RE.findall(text)
+    pieces: dict[str, list[ParsedTriplet]] = {}
+    out = []
+    for text in texts:
+        found: list[ParsedTriplet] = []
+        for piece in text.split("."):
+            trips = pieces.get(piece)
+            if trips is None:
+                trips = pieces[piece] = _parse_piece(piece, keywords)
+            found += trips
+        out.append(list(dict.fromkeys(found)) if len(found) > 1 else found)
+    return out
+
+
+def _parse_piece(piece: str, keywords) -> list[ParsedTriplet]:
+    tokens = _TOKEN_RE.findall(piece)
     # per token: the relation ids it opens, () for a tail word, None for a boundary
     rels = [None if t in _BOUNDARY else keywords[t] for t in tokens]
     out: list[ParsedTriplet] = []
-    seen: set[tuple[tuple[int, ...], str]] = set()
     i, n = 0, len(tokens)
     while i < n:
         if not rels[i]:
@@ -87,10 +133,6 @@ def parse_triplets(text: str, relations: NameTable) -> list[ParsedTriplet]:
         while tail_tokens and tail_tokens[0] in _ARTICLES:
             tail_tokens.pop(0)
         if tail_tokens:
-            trip = ParsedTriplet(rels[i], "_".join(tail_tokens))
-            key = (trip.relations, trip.tail)
-            if key not in seen:
-                seen.add(key)
-                out.append(trip)
+            out.append(ParsedTriplet(rels[i], "_".join(tail_tokens)))
         i = j
     return out

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -88,3 +89,41 @@ def test_permutation_invariance(tokens, rnd):
     shuffled = list(tokens)
     rnd.shuffle(shuffled)
     assert np.allclose(enc.encode(" ".join(tokens)), enc.encode(" ".join(shuffled)))
+
+
+# -- piece-wise encoding against the whole-text encoder it replaced --------
+
+def whole_text_encode_batch(texts, dim):
+    """encode_batch as it was before texts were tokenized '.'-piece by piece."""
+    tokens = [re.findall(r"[a-z0-9]+", text.lower()) for text in texts]
+    cells = np.repeat(np.arange(len(texts), dtype=np.int64) * dim, [len(t) for t in tokens])
+    cells += np.array([fnv1a_64(t.encode("utf-8")) % dim for row in tokens for t in row],
+                      dtype=np.int64)
+    out = np.bincount(cells, minlength=len(texts) * dim).reshape(len(texts), dim).astype(np.float64)
+    norms = np.sqrt((out * out).sum(axis=1, keepdims=True))
+    np.divide(out, norms, out=out, where=norms > 0)
+    return out
+
+
+# Kelvin sign and dotted I lowercase to ASCII; a capital sigma lowercases by
+# context, final or not depending on what follows it across a '.'
+ENCODE_WORDS = ["it", "IsA", "Made_Of", "fruit", "Fruit", "class_007", "the", "a", "_", "7",
+                "\u212a", "\u212aelvin", "\u0130s", "x\u0130", "\u03a3", "A\u03a3", "\u03a3a",
+                "caf\u00e9", "\u00c9t\u00c9", "", "-"]
+ENCODE_SEPS = [" ", " ", ".", ". ", "..", " .", ",", ";", "_", ""]
+
+
+@st.composite
+def encode_texts(draw):
+    parts = [draw(st.sampled_from(["", ".", " "]))]
+    for _ in range(draw(st.integers(min_value=0, max_value=25))):
+        parts += [draw(st.sampled_from(ENCODE_WORDS)), draw(st.sampled_from(ENCODE_SEPS))]
+    return "".join(parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(encode_texts(), max_size=12), st.sampled_from([1, 7, 256]))
+def test_piecewise_encode_matches_whole_text(texts, dim):
+    texts = texts + texts[:3]
+    got = HashingEncoder(dim).encode_batch(texts)
+    assert got.tobytes() == whole_text_encode_batch(texts, dim).tobytes()

@@ -1,7 +1,15 @@
 from __future__ import annotations
 
-import pytest
+import os
+import subprocess
+import sys
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kgcil
 from kgcil import (
     GeneratorConfig,
     NoAssignment,
@@ -14,6 +22,7 @@ from kgcil import (
     parse_triplets,
     render_training_text,
 )
+from kgcil.simulate import sample_streams
 
 
 @pytest.fixture
@@ -232,3 +241,61 @@ class TestFiller:
     def test_templates_have_no_relation_keywords(self, fruit_graph):
         for t in load_filler_templates():
             assert parse_triplets(t, fruit_graph.relations) == []
+
+
+# -- batched seeding against np.random.default_rng ------------------------
+
+EDGE_INTS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1, 2**64, 2**64 + 7, 2**96 + 3]
+seed_int = st.sampled_from(EDGE_INTS) | st.integers(min_value=0, max_value=2**130)
+sample_key = st.lists(seed_int, max_size=5).map(tuple) | seed_int
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed_int, st.lists(sample_key, min_size=1, max_size=12))
+def test_sample_streams_match_default_rng(seed, keys):
+    # a batch mixes keys of several word counts: short ones pad, long ones mix words in
+    streams = sample_streams(seed, keys)
+    assert len(streams) == len(keys)
+    for key, rng in zip(keys, streams):
+        want = np.random.default_rng((seed,) + (key if isinstance(key, tuple) else (key,)))
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert rng.random(3).tolist() == want.random(3).tolist()
+        assert rng.integers(7, size=5).tolist() == want.integers(7, size=5).tolist()
+
+
+def test_sample_streams_one_key_equals_its_batch():
+    keys = [(0, 2**32 + 5, s) for s in range(40)] + [(1, 2)]
+    batch = sample_streams(2**32, keys)
+    for key, rng in zip(keys, batch):
+        (alone,) = sample_streams(2**32, [key])
+        assert alone.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("key", [(0, -1), (-3,), -1])
+def test_negative_key_raises_like_default_rng(key, fruit_graph, fruit_sub):
+    with pytest.raises(ValueError):
+        np.random.default_rng((0,) + (key if isinstance(key, tuple) else (key,)))
+    with pytest.raises(ValueError):
+        sample_streams(0, [(1, 2), key])
+    gen = make_gen(fruit_graph, fruit_sub, p_drop=0.5)
+    with pytest.raises(ValueError):
+        gen.generate(fruit_graph.entity_id("granny_smith"), key)
+
+
+@pytest.mark.parametrize("mode", ["corrupted", "baseline_gmm", "oracle"])
+def test_generate_batch_equals_one_key_calls(mode, fruit_graph, fruit_sub):
+    gen = make_gen(fruit_graph, fruit_sub, mode=mode, p_drop=0.4, p_swap=0.4, p_hypernym=0.5,
+                   filler=True, seed=11)
+    cid = fruit_graph.entity_id("pineapple")
+    keys = [(2, cid, s) for s in range(30)]
+    assert gen.generate_batch(cid, keys) == [gen.generate(cid, k) for k in keys]
+    assert gen.generate_batch(cid, keys, baseline=True) == [gen.baseline_text(cid, k) for k in keys]
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # sample_streams registers its seed type on first use; `kgcil query` never draws
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kgcil.__file__)))
+    code = "import sys, kgcil.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

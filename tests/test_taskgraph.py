@@ -254,17 +254,43 @@ class TestTextExclusivity:
         assert head == "c2"
 
 
+    def test_tail_named_like_a_keyword_not_granted(self):
+        # `c0 IsA of.` opens a second capture at `of`; `c2 IsA a.` drops the article
+        g = KnowledgeGraph.from_facts([("c0", "IsA", "of"), ("c1", "Of", "x"),
+                                       ("c2", "IsA", "a"), ("c2", "Color", "red")])
+        sub = TaskSubgraph()
+        _, report = extend_subgraph(sub, ["c0", "c1", "c2"], g, 1)
+        assert grant_names(sub, g, "c0") == []
+        assert grant_names(sub, g, "c1") == [("Of", "x")]
+        assert grant_names(sub, g, "c2") == [("Color", "red")]
+        assert report.shortfall == ["c0"]
+        for cname in ("c1", "c2"):
+            assert read_back(sub, g, cname)[1] == cname
+
+    def test_names_the_tokenizer_splits_not_granted(self):
+        # a relation or tail holding a character outside [A-Za-z0-9_] renders as several tokens
+        g = KnowledgeGraph.from_facts([("c0", "Is-A", "fruit"), ("c0", "IsA", "x-y"),
+                                       ("c0", "IsA", "caf\u00e9"), ("c0", "IsA", "pome")])
+        sub = TaskSubgraph()
+        extend_subgraph(sub, ["c0"], g, 4)
+        assert grant_names(sub, g, "c0") == [("IsA", "pome")]
+
+
 RELATION_POOL = ["Made", "Of", "Made_Of", "made", "MADE_of", "Of_Made", "IsA", "isa", "ISA",
-                 "A", "B", "A_B", "B_C", "C", "a_b"]
+                 "A", "B", "A_B", "B_C", "C", "a_b", "Is-A"]
+# tails named like keywords or articles, or holding characters the tokenizer splits on
+TAIL_POOL = ["of", "made", "made_of", "isa", "a_b", "a", "an", "the", "the_end", "x-y", "t.z",
+             "caf\u00e9", "\u212aelvin", "n1"]
 
 
 @st.composite
 def colliding_graphs(draw):
-    """Graphs whose relation names hold '_' and case collisions; entity names never do."""
+    """Graphs whose relation names hold '_' and case collisions, with keyword-like tail names."""
     rels = draw(st.lists(st.sampled_from(RELATION_POOL), min_size=1, max_size=8, unique=True))
     n_classes = draw(st.integers(min_value=1, max_value=8))
     n_tails = draw(st.integers(min_value=1, max_value=6))
     ents = [f"c{i}" for i in range(n_classes)] + [f"t{i}" for i in range(n_tails)]
+    ents += draw(st.lists(st.sampled_from(TAIL_POOL), max_size=4, unique=True))
     fact = st.tuples(st.sampled_from(ents), st.sampled_from(rels), st.sampled_from(ents))
     facts = [f for f in draw(st.lists(fact, min_size=1, max_size=40)) if f[0] != f[2]]
     if not facts:

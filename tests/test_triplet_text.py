@@ -19,6 +19,7 @@ from kgcil import (
     render_training_text,
 )
 from kgcil.synthetic import class_name, synthetic_graph
+from kgcil.triplet_text import ParsedTriplet, label_reads_back, parse_batch, tail_reads_back
 
 
 def parsed_names(graph, triplets):
@@ -276,7 +277,103 @@ def test_keyword_table_follows_new_relations():
     assert parse_triplets("it HasA tail", table) == []
     table.intern("HasA")
     assert [p.tail for p in parse_triplets("it HasA tail", table)] == ["tail"]
-    made, of = table.intern("Made"), table.intern("Of")
-    assert table.readable()[(made, of)]
+    made = table.intern("Made")
+    assert table.memo(tail_reads_back)["made_of"]
+    of = table.intern("Of")  # made_of now reads as Made + Of, no longer as a tail
+    assert not table.memo(tail_reads_back)["made_of"]
+    assert table.memo(label_reads_back)[(made, of)]
     table.intern("Made_Of")  # Made_Of now reads as the new relation
-    assert not table.readable()[(made, of)]
+    assert not table.memo(label_reads_back)[(made, of)]
+
+
+# -- piece-wise parsing against the whole-text parser it replaced ----------
+
+_ARTICLES = {"a", "an", "the"}
+
+
+def whole_text_parse(text, relations):
+    """parse_triplets as it was before texts were parsed '.'-piece by piece."""
+    keywords = relations.keywords()
+    tokens = _TOKEN_RE.findall(text)
+    rels = [None if t in {".", ",", ";"} else keywords[t] for t in tokens]
+    out, seen = [], set()
+    i, n = 0, len(tokens)
+    while i < n:
+        if not rels[i]:
+            i += 1
+            continue
+        j = i + 1
+        while j < n and rels[j] == ():
+            j += 1
+        tail_tokens = [t.lower() for t in tokens[i + 1:j]]
+        while tail_tokens and tail_tokens[0] in _ARTICLES:
+            tail_tokens.pop(0)
+        if tail_tokens:
+            trip = ParsedTriplet(rels[i], "_".join(tail_tokens))
+            if (trip.relations, trip.tail) not in seen:
+                seen.add((trip.relations, trip.tail))
+                out.append(trip)
+        i = j
+    return out
+
+
+PIECE_WORDS = KEYWORD_POOL + ["it", "the", "a", "An", "fruit", "red_fruit", "x_y", "_", "__",
+                              "Made_Of_Of", "\u212a", "\u212aelvin", "\u0130s\u0130", "\u03a3",
+                              "A\u03a3", "caf\u00e9", "7", "", "-", "'"]
+PIECE_SEPS = [" ", " ", " ", ".", ". ", "..", " .", ",", ";", "_", ""]
+
+
+@st.composite
+def piece_texts(draw):
+    """Texts of keywords, tails and articles cut by '.', ',' and ';', with empty pieces."""
+    parts = [draw(st.sampled_from(["", ".", " ", ". "]))]
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        word = draw(st.sampled_from(PIECE_WORDS))
+        parts += [_recase(draw, word) if draw(st.booleans()) else word,
+                  draw(st.sampled_from(PIECE_SEPS))]
+    parts.append(draw(st.sampled_from(["", ".", ". .", " "])))
+    return "".join(parts)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.sampled_from(KEYWORD_POOL), min_size=1, max_size=6, unique=True),
+       st.lists(piece_texts(), max_size=12), st.lists(st.sampled_from(KEYWORD_POOL), max_size=3))
+def test_piecewise_parse_matches_whole_text(names, texts, later):
+    table = NameTable()
+    for name in names:
+        table.intern(name)
+    texts = texts + texts[:3]  # repeated texts share every piece of the memo
+    assert parse_batch(texts, table) == [whole_text_parse(t, table) for t in texts]
+    for name in later:  # the keyword table grows between batches
+        table.intern(name)
+    assert parse_batch(texts, table) == [whole_text_parse(t, table) for t in texts]
+    for text in texts:
+        assert parse_triplets(text, table) == whole_text_parse(text, table)
+
+
+def test_parse_batch_dedups_across_pieces():
+    g = KnowledgeGraph.from_facts([("c", "IsA", "fruit")])
+    text = "it IsA fruit. it IsA fruit. it IsA the fruit."
+    assert parse_batch([text, text], g.relations) == [[ParsedTriplet((0,), "fruit")]] * 2
+
+
+# -- the allocation check against the parser -----------------------------
+
+READ_BACK_TAILS = ["fruit", "of", "made", "made_of", "isa", "a_b", "a", "an", "the", "the_end",
+                   "Fruit", "x-y", "t.z", "caf\u00e9", "\u212aelvin", "n1", "7", "_", "a_", ""]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(KEYWORD_POOL + ["Is-A", "x.y"]), min_size=1, max_size=8,
+                unique=True), st.data())
+def test_read_back_checks_equal_parsing_the_clause(names, data):
+    table = NameTable()
+    for name in names:
+        table.intern(name)
+    n = len(names)
+    rels = data.draw(st.tuples(st.integers(0, n - 1)) | st.tuples(st.integers(0, n - 1),
+                                                                   st.integers(0, n - 1)))
+    tail = data.draw(st.sampled_from(READ_BACK_TAILS))
+    parsed = parse_triplets(f"{table.label(rels)} {tail}", table)
+    assert (label_reads_back(table, rels) and tail_reads_back(table, tail)) == (
+        parsed == [ParsedTriplet(rels, tail)])
