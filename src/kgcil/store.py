@@ -81,7 +81,7 @@ def _keyword(table: "NameTable", token: str) -> tuple[int, ...]:
 
 
 class NameTable:
-    """Dense id <-> name bijection, ids assigned in first-seen order."""
+    """Immutable dense id <-> name bijection; ids are positions in the name list."""
 
     def __init__(self):
         self._names: list[str] = []
@@ -96,16 +96,6 @@ class NameTable:
         table._names = names
         table._ids = dict(zip(names, range(len(names))))
         return table
-
-    def intern(self, name: str) -> int:
-        idx = self._ids.get(name)
-        if idx is None:
-            idx = len(self._names)
-            self._names.append(name)
-            self._ids[name] = idx
-            self._lower = None
-            self._memos = {}
-        return idx
 
     def get(self, name: str) -> int | None:
         return self._ids.get(name)
@@ -152,7 +142,7 @@ class NameTable:
         return None
 
     def memo(self, fn) -> "_Memo":
-        """key -> fn(self, key), computed on first sight of key; dropped on the next intern.
+        """key -> fn(self, key), computed on first sight of key.
 
         One memo per fn, so each rule derived from the names keeps its own.
         """

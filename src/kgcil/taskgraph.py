@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .store import KnowledgeGraph, Record, normalize_name
-from .triplet_text import label_reads_back, tail_reads_back
+from .triplet_text import label_reads_back, name_opens_no_capture, tail_reads_back
 
 PairKey = tuple[tuple[int, ...], int]
 
@@ -92,6 +92,14 @@ class TaskSubgraph:
             raise ValueError("subgraph is already bound to a different graph")
 
 
+def _candidates(graph: KnowledgeGraph, cid: int):
+    """(relations, tail, is_chain) of the direct facts, then of the two-hop chains."""
+    for fact in graph.facts_of(cid):
+        yield (fact.relation,), fact.tail, False
+    for rels, tail in graph.two_hop_facts(cid):
+        yield rels, tail, True
+
+
 def extend_subgraph(subgraph: TaskSubgraph, new_classes, graph: KnowledgeGraph,
                     r_target: int) -> tuple[TaskSubgraph, AllocationReport]:
     """Grant up to r_target unused pairs to each new class, in place.
@@ -102,7 +110,9 @@ def extend_subgraph(subgraph: TaskSubgraph, new_classes, graph: KnowledgeGraph,
     that is recorded as shortfall. A path is granted only when its rendered
     clause parses back to its own relations and tail, so the text of every
     grant votes for its class: with relations Made, Of and Made_Of, the pair
-    (Made, Of) renders as Made_Of and is not granted, nor is a tail `of`.
+    (Made, Of) renders as Made_Of and is not granted, nor is a tail `of`. A
+    class whose name holds a keyword token is granted nothing, since its name
+    leads every clause (see name_opens_no_capture); it is shortfall.
     """
     if r_target < 1:
         raise ValueError(f"r_target must be >= 1, got {r_target}")
@@ -122,27 +132,18 @@ def extend_subgraph(subgraph: TaskSubgraph, new_classes, graph: KnowledgeGraph,
         if cid in subgraph.assignments:
             raise ValueError(f"class already assigned: {name!r}")
         paths: list[RelationPath] = []
-        for fact in graph.facts_of(cid):
-            if len(paths) >= r_target:
-                break
-            key = ((fact.relation,), fact.tail)
-            if (key in subgraph.pair_to_class or not labels[key[0]]
-                    or not tails[entity_name(fact.tail)]):
-                continue
-            paths.append(RelationPath((fact.relation,), fact.tail))
-            subgraph.pair_to_class[key] = cid
         fallback = False
-        if len(paths) < r_target:
-            for rels, tail in graph.two_hop_facts(cid):
-                if len(paths) >= r_target:
-                    break
+        if name_opens_no_capture(graph.relations, name):
+            for rels, tail, chain in _candidates(graph, cid):
                 key = (rels, tail)
                 if (key in subgraph.pair_to_class or not labels[rels]
                         or not tails[entity_name(tail)]):
                     continue
                 paths.append(RelationPath(rels, tail))
                 subgraph.pair_to_class[key] = cid
-                fallback = True
+                fallback |= chain
+                if len(paths) >= r_target:
+                    break
         subgraph.assignments[cid] = ClassAssignment(cid, paths, task_index)
         report.grants.append(ClassGrant(name, r_target, len(paths), fallback))
         if len(paths) < r_target:

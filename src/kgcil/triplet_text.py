@@ -85,6 +85,16 @@ def tail_reads_back(relations: NameTable, tail: str) -> bool:
             and relations.resolve(tail, fold=True) is None)
 
 
+def name_opens_no_capture(relations: NameTable, name: str) -> bool:
+    """No token of the name is a keyword.
+
+    A class name leads each clause of its text, so a keyword token in it
+    would add a triplet of its own: `isa-red IsA fruit.` also reads (IsA, red).
+    """
+    keywords = relations.keywords()
+    return not any(keywords[t] for t in _WORD_RE.findall(name))
+
+
 def parse_triplets(text: str, relations: NameTable) -> list[ParsedTriplet]:
     """Extract (relation-sequence, tail) pairs from free text.
 
@@ -99,8 +109,7 @@ def parse_batch(texts, relations: NameTable) -> list[list[ParsedTriplet]]:
     """parse_triplets of every text, parsing each distinct '.'-piece once per call.
 
     '.' ends every capture, so a text's triplets are its pieces' triplets in
-    order, deduplicated. The piece memo lives for one call, so a relation
-    interned between calls is never missed.
+    order, deduplicated. The piece memo lives for one call.
     """
     keywords = relations.keywords()
     pieces: dict[str, list[ParsedTriplet]] = {}

@@ -6,6 +6,10 @@ for a handful of texts. Inference changes must reproduce all of it bit for
 bit. Regenerate (only when a behaviour change is intended) with
 
     PYTHONPATH=src python tests/golden_cases.py tests/fixtures/golden.json
+
+and list beforehand what a re-pin would move, section by section, with
+
+    PYTHONPATH=src python tests/golden_cases.py --diff
 """
 
 from __future__ import annotations
@@ -103,7 +107,35 @@ def build() -> dict:
     }
 
 
+def diff_paths(old, new, path: str = ""):
+    """JSON key paths (a.b[2].c) where new differs from old, leaves first-seen order."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in {**old, **new}:
+            yield from diff_paths(old.get(key), new.get(key), f"{path}.{key}" if path else key)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from diff_paths(a, b, f"{path}[{i}]")
+    elif old != new:
+        yield path
+
+
+def print_diff(old: dict, new: dict) -> None:
+    """One line per section (reports.<case>, diagnostics, query): identical, or what moved."""
+    sections = [("reports." + name, old["reports"].get(name), new["reports"][name])
+                for name in new["reports"]]
+    sections += [(key, old.get(key), new[key]) for key in ("diagnostics", "query")]
+    for name, a, b in sections:
+        moved = list(diff_paths(a, b, name))
+        if not moved:
+            print(f"{name}: identical")
+        else:
+            print(f"{name}: {len(moved)} values differ, first {moved[0]}, last {moved[-1]}")
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        print_diff(json.loads(FIXTURE.read_text(encoding="utf-8")), build())
+        sys.exit(0)
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else FIXTURE
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(build(), sort_keys=True) + "\n", encoding="utf-8")

@@ -40,6 +40,13 @@ def test_query_records_match_golden(golden, graph):
     assert gc.query_records(graph) == golden["query"]
 
 
+def test_diff_paths_names_moved_leaves():
+    old = {"a": [1, {"b": 2, "c": 3}], "d": {"e": 4}, "f": [1, 2]}
+    new = {"a": [1, {"b": 2, "c": 5}], "d": {"e": 4, "g": 0}, "f": [1]}
+    assert list(gc.diff_paths(old, new)) == ["a[1].c", "d.g", "f"]
+    assert list(gc.diff_paths(old, old)) == []
+
+
 def test_batch_rows_equal_single_gemv(graph):
     # Each row must equal candidate_vectors @ encode(text) bit for bit. One
     # matrix-matrix product over the whole batch (encoded @ candidates.T)

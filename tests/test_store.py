@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgcil import EmptyGraph, KnowledgeGraph, LoadStats, MalformedLine, NameTable, load_graph, normalize_name
+from kgcil import EmptyGraph, KnowledgeGraph, LoadStats, MalformedLine, load_graph, normalize_name
 from kgcil.synthetic import large_graph_tsv, synthetic_facts
 from conftest import FRUIT_FACTS, REEF_FACTS, write_tsv
 
@@ -194,7 +194,8 @@ _REF_WS = re.compile(r"\s+")
 
 
 def ref_load(path):
-    entities, relations = NameTable(), NameTable()
+    entities: dict[str, int] = {}
+    relations: dict[str, int] = {}
     hs: list[int] = []
     rs: list[int] = []
     ts: list[int] = []
@@ -215,9 +216,9 @@ def ref_load(path):
             if head == tail:
                 loops += 1
                 continue
-            hs.append(entities.intern(head))
-            rs.append(relations.intern(rel))
-            ts.append(entities.intern(tail))
+            hs.append(entities.setdefault(head, len(entities)))
+            rs.append(relations.setdefault(rel, len(relations)))
+            ts.append(entities.setdefault(tail, len(entities)))
     if not hs:
         raise EmptyGraph("no facts survived loading")
     ne, nr = len(entities), len(relations)
@@ -227,7 +228,7 @@ def ref_load(path):
     pair_key = r * ne + t
     order = np.lexsort((h, pair_key))
     stats = LoadStats(ne, nr, len(first), len(hs) - len(first), loops)
-    return (stats, entities.names(), relations.names(),
+    return (stats, list(entities), list(relations),
             *(a.tolist() for a in (h, r, t, pair_key[order], h[order])))
 
 

@@ -267,6 +267,20 @@ class TestTextExclusivity:
         for cname in ("c1", "c2"):
             assert read_back(sub, g, cname)[1] == cname
 
+    def test_class_named_with_a_keyword_not_granted(self):
+        # `isa-red IsA fruit.` also parses to (IsA, red), which c1 owns; any
+        # token of the name that opens a capture is refused, a pair too
+        g = KnowledgeGraph.from_facts([("isa-red", "IsA", "fruit"), ("c1", "IsA", "red"),
+                                       ("isa_color", "IsA", "veg"), ("c2", "Color", "red")])
+        sub = TaskSubgraph()
+        _, report = extend_subgraph(sub, ["isa-red", "c1", "isa_color"], g, 1)
+        assert grant_names(sub, g, "isa-red") == []
+        assert grant_names(sub, g, "isa_color") == []
+        assert grant_names(sub, g, "c1") == [("IsA", "red")]
+        assert report.shortfall == ["isa-red", "isa_color"]
+        assert [gr.granted for gr in report.grants] == [0, 1, 0]
+        assert read_back(sub, g, "c1")[1] == "c1"
+
     def test_names_the_tokenizer_splits_not_granted(self):
         # a relation or tail holding a character outside [A-Za-z0-9_] renders as several tokens
         g = KnowledgeGraph.from_facts([("c0", "Is-A", "fruit"), ("c0", "IsA", "x-y"),
@@ -285,11 +299,13 @@ TAIL_POOL = ["of", "made", "made_of", "isa", "a_b", "a", "an", "the", "the_end",
 
 @st.composite
 def colliding_graphs(draw):
-    """Graphs whose relation names hold '_' and case collisions, with keyword-like tail names."""
+    """Graphs whose relation names hold '_' and case collisions, with keyword-like names."""
     rels = draw(st.lists(st.sampled_from(RELATION_POOL), min_size=1, max_size=8, unique=True))
     n_classes = draw(st.integers(min_value=1, max_value=8))
     n_tails = draw(st.integers(min_value=1, max_value=6))
-    ents = [f"c{i}" for i in range(n_classes)] + [f"t{i}" for i in range(n_tails)]
+    # class names may hold a keyword token, which would add a triplet to their text
+    ents = [draw(st.sampled_from([f"c{i}", f"isa-c{i}", f"c{i}-of", f"a_b-c{i}"]))
+            for i in range(n_classes)] + [f"t{i}" for i in range(n_tails)]
     ents += draw(st.lists(st.sampled_from(TAIL_POOL), max_size=4, unique=True))
     fact = st.tuples(st.sampled_from(ents), st.sampled_from(rels), st.sampled_from(ents))
     facts = [f for f in draw(st.lists(fact, min_size=1, max_size=40)) if f[0] != f[2]]

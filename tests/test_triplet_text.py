@@ -232,9 +232,7 @@ def _recase(draw, word):
 @st.composite
 def keyword_cases(draw):
     names = draw(st.lists(st.sampled_from(KEYWORD_POOL), min_size=1, max_size=8, unique=True))
-    table = NameTable()
-    for name in names:
-        table.intern(name)
+    table = NameTable.from_names(names)
     word = st.sampled_from(KEYWORD_POOL + ["the", "a", "fruit", "x_y", "Made_Of_Of", "A_B_C",
                                            "_Of", "Made_", ".", ",", ";"])
     labels = []
@@ -259,9 +257,7 @@ def test_keyword_table_matches_reference(case):
 
 
 def test_keyword_rules():
-    table = NameTable()
-    for name in ["Made", "Of", "Made_Of", "made", "A", "B", "A_B", "B_C", "C"]:
-        table.intern(name)
+    table = NameTable.from_names(["Made", "Of", "Made_Of", "made", "A", "B", "A_B", "B_C", "C"])
     ids = {name: table.get(name) for name in table.names()}
     assert table.resolve("Made_Of") == (ids["Made_Of"],)  # a single name beats a pair
     assert table.resolve("A_B_C") == (ids["A"], ids["B_C"])  # the leftmost split wins
@@ -269,21 +265,9 @@ def test_keyword_rules():
     assert table.resolve("made") == (ids["made"],)
     assert table.resolve("MADE_OF") is None
     assert table.resolve("MADE_OF", fold=True) == (ids["Made_Of"],)
-
-
-def test_keyword_table_follows_new_relations():
-    table = NameTable()
-    table.intern("IsA")
-    assert parse_triplets("it HasA tail", table) == []
-    table.intern("HasA")
-    assert [p.tail for p in parse_triplets("it HasA tail", table)] == ["tail"]
-    made = table.intern("Made")
-    assert table.memo(tail_reads_back)["made_of"]
-    of = table.intern("Of")  # made_of now reads as Made + Of, no longer as a tail
-    assert not table.memo(tail_reads_back)["made_of"]
-    assert table.memo(label_reads_back)[(made, of)]
-    table.intern("Made_Of")  # Made_Of now reads as the new relation
-    assert not table.memo(label_reads_back)[(made, of)]
+    # (Made, Of) renders as Made_Of, which reads as the relation Made_Of
+    assert not table.memo(label_reads_back)[(ids["Made"], ids["Of"])]
+    assert not table.memo(tail_reads_back)["made_of"]  # a tail made_of reads as Made + Of
 
 
 # -- piece-wise parsing against the whole-text parser it replaced ----------
@@ -339,14 +323,10 @@ def piece_texts(draw):
 @given(st.lists(st.sampled_from(KEYWORD_POOL), min_size=1, max_size=6, unique=True),
        st.lists(piece_texts(), max_size=12), st.lists(st.sampled_from(KEYWORD_POOL), max_size=3))
 def test_piecewise_parse_matches_whole_text(names, texts, later):
-    table = NameTable()
-    for name in names:
-        table.intern(name)
     texts = texts + texts[:3]  # repeated texts share every piece of the memo
-    assert parse_batch(texts, table) == [whole_text_parse(t, table) for t in texts]
-    for name in later:  # the keyword table grows between batches
-        table.intern(name)
-    assert parse_batch(texts, table) == [whole_text_parse(t, table) for t in texts]
+    grown = list(dict.fromkeys(names + later))  # the same texts against more relations
+    for table in NameTable.from_names(names), NameTable.from_names(grown):
+        assert parse_batch(texts, table) == [whole_text_parse(t, table) for t in texts]
     for text in texts:
         assert parse_triplets(text, table) == whole_text_parse(text, table)
 
@@ -367,9 +347,7 @@ READ_BACK_TAILS = ["fruit", "of", "made", "made_of", "isa", "a_b", "a", "an", "t
 @given(st.lists(st.sampled_from(KEYWORD_POOL + ["Is-A", "x.y"]), min_size=1, max_size=8,
                 unique=True), st.data())
 def test_read_back_checks_equal_parsing_the_clause(names, data):
-    table = NameTable()
-    for name in names:
-        table.intern(name)
+    table = NameTable.from_names(names)
     n = len(names)
     rels = data.draw(st.tuples(st.integers(0, n - 1)) | st.tuples(st.integers(0, n - 1),
                                                                    st.integers(0, n - 1)))
