@@ -285,8 +285,9 @@ def _evaluate_session(ctx: dict, seen: list[str], jobs: int) -> list[dict]:
     global _WORKER_CTX
     _WORKER_CTX = ctx
     try:
-        # fork inherits the context without pickling it per task, and
-        # per-sample seeding keeps results identical for any job count
+        # fork inherits the context without pickling it per task; a class's
+        # texts come from its own (seed, session, class) stream, so which
+        # worker draws them does not change them
         mp = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=mp) as pool:
             return list(pool.map(_eval_class_worker, seen))

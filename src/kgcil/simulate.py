@@ -9,14 +9,17 @@ Stands in for a fine-tuned captioning model at evaluation time. Three modes:
 * baseline_gmm: a bare caption, "This is a photo of <mention>", where the
   mention collapses to a hypernym or confusable class with p_hypernym.
 
-Every sample is deterministic given (config.seed, sample key), so runs can be
-parallelized and replayed.
+Randomness is one PCG64 stream per (seed, session, class). The harness's
+sample key (session, class id, s) reads row s of that stream, and each mode
+lays a row out in fixed columns (see _uniforms, _corrupted, _baseline). A
+text thus depends only on the seed and its key: not on the batch it is drawn
+in, nor on the process, so results are the same for any --jobs and a one-key
+generate() replays its row of the class batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -93,108 +96,30 @@ def build_confusables(subgraph: TaskSubgraph, graph: KnowledgeGraph) -> dict[str
     }
 
 
-# NumPy's SeedSequence (numpy/random/bit_generator.pyx): hash constants and pool size
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
-_OTHERS = [[d for d in range(_POOL) if d != src] for src in range(_POOL)]
-_MASK32 = 0xFFFFFFFF
+def _uniforms(seed: int, sample_keys, width: int) -> np.ndarray:
+    """Row r of stream PCG64((seed, *stream)) for every key (*stream, r), shape (len, width).
 
-
-def _words(entropy) -> list[int]:
-    """Ints as little-endian uint32 words, the way SeedSequence reads a sequence of ints."""
-    out = []
-    for value in entropy:
-        if value < 0:
-            raise ValueError("expected non-negative integer")
-        out.append(value & _MASK32)
-        value >>= 32
-        while value:
-            out.append(value & _MASK32)
-            value >>= 32
+    A key is an int or a tuple of ints; its last int is the row. Row r is the
+    stream's doubles r*width .. r*width + width - 1, so a key's row does not
+    depend on which keys share its batch. One generator, one advance and one
+    draw serve all keys of a stream, over the rows from its least to its
+    greatest. Raises ValueError on a negative int, as SeedSequence does.
+    """
+    keys = [tuple(map(int, k)) if isinstance(k, (tuple, list)) else (int(k),)
+            for k in sample_keys]
+    if any(v < 0 for key in keys for v in key):
+        raise ValueError("expected non-negative integer")  # advance() would wrap a negative row
+    streams: dict[tuple, list[int]] = {}
+    for i, key in enumerate(keys):
+        streams.setdefault(key[:-1], []).append(i)
+    out = np.empty((len(keys), width))
+    for stream, idx in streams.items():
+        rows = np.array([keys[i][-1] for i in idx])
+        lo = int(rows.min())
+        bitgen = np.random.PCG64((seed, *stream))
+        bitgen.advance(lo * width)
+        out[idx] = np.random.Generator(bitgen).random((int(rows.max()) - lo + 1, width))[rows - lo]
     return out
-
-
-@lru_cache(maxsize=None)
-def _hash_consts(h: int, mult: int, n: int) -> np.ndarray:
-    """The running hash constant before each of n hash steps and after the last, as a column."""
-    out = [h]
-    for _ in range(n):
-        h = h * mult & _MASK32
-        out.append(h)
-    column = np.array(out, np.uint32)[:, None]
-    column.flags.writeable = False
-    return column
-
-
-def _hashmix(value: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # SeedSequence's hashmix for len(h) - 1 consecutive steps; uint32 arrays wrap like C
-    value = (value ^ h[:-1]) * h[1:]
-    return value ^ (value >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x * _MIX_L - y * _MIX_R
-    return out ^ (out >> 16)
-
-
-def _seed_states(entropies) -> np.ndarray:
-    """SeedSequence(e).generate_state(4, np.uint64) for every entropy tuple e, shape (n, 4).
-
-    NumPy's algorithm, run on all rows of one word count at once. Words past
-    the pool are mixed in one by one, so only rows of up to four words share
-    a block (shorter rows pad with 0, as SeedSequence itself does). Raises
-    ValueError on a negative int, as SeedSequence does.
-    """
-    words = [_words(e) for e in entropies]
-    out = np.empty((len(words), 4), np.uint64)
-    blocks: dict[int, list[int]] = {}
-    for i, w in enumerate(words):
-        blocks.setdefault(max(len(w), _POOL), []).append(i)
-    for width, rows in blocks.items():
-        entropy = np.array([words[i] + [0] * (width - len(words[i])) for i in rows], np.uint32).T
-        h = _hash_consts(_INIT_A, _MULT_A, _POOL * (width - 1) + _POOL)
-        pool = _hashmix(entropy[:_POOL], h[:_POOL + 1])
-        k = _POOL
-        for src, dst in enumerate(_OTHERS):
-            pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[k:k + _POOL]))
-            k += _POOL - 1
-        for src in range(_POOL, width):
-            pool = _mix(pool, _hashmix(entropy[src], h[k:k + _POOL + 1]))
-            k += _POOL
-        state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_consts(_INIT_B, _MULT_B, 8))
-        out[rows] = np.ascontiguousarray(state.T).astype("<u4", copy=False).view("<u8")
-    return out
-
-
-class _SeedState:
-    """A precomputed generate_state(4, np.uint64), all PCG64 asks of its seed sequence.
-
-    Registered as a numpy.random ISeedSequence on first use (sample_streams),
-    so importing kgcil does not load numpy.random.
-    """
-
-    def __init__(self, state: np.ndarray):
-        self._state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if (n_words, dtype) != (4, np.uint64):
-            raise ValueError("only PCG64's seeding request is precomputed")
-        return self._state
-
-
-def sample_streams(seed: int, sample_keys) -> list[np.random.Generator]:
-    """np.random.default_rng((seed, *key)) for every sample key, seeded in one pass.
-
-    A key is an int or a tuple of ints. Each stream is bit-identical to the
-    default_rng one; only the SeedSequence hashing is batched (_seed_states).
-    """
-    np.random.bit_generator.ISeedSequence.register(_SeedState)  # a no-op once registered
-    entropy = [(seed, *map(int, key if isinstance(key, (tuple, list)) else (key,)))
-               for key in sample_keys]
-    return [np.random.Generator(np.random.PCG64(_SeedState(state)))
-            for state in _seed_states(entropy)]
 
 
 class TextGenerator:
@@ -205,7 +130,7 @@ class TextGenerator:
         self.subgraph = subgraph
         self.config = config
         self.confusables = build_confusables(subgraph, graph)
-        self._fillers = load_filler_templates() if config.filler else []
+        self._fillers = [t + "." for t in load_filler_templates()] if config.filler else []
         self._oracle: dict[int, str] = {}
         self._clauses: dict[int, list[str]] = {}
         self._hypernyms: dict[int, list[str]] = {}
@@ -233,8 +158,10 @@ class TextGenerator:
             )
         if mode == "oracle":
             return [self._oracle[class_id]] * len(sample_keys)
-        draw = self._baseline if mode == "baseline_gmm" else self._corrupted
-        return [draw(class_id, rng) for rng in sample_streams(self.config.seed, sample_keys)]
+        if mode == "baseline_gmm":
+            return self._baseline(class_id, _uniforms(self.config.seed, sample_keys, 2))
+        width = 6 * len(self._clauses[class_id]) + 2
+        return self._corrupted(class_id, _uniforms(self.config.seed, sample_keys, width))
 
     def generate(self, class_id: int, sample_key) -> str:
         """One description for the class; deterministic per (seed, sample_key)."""
@@ -244,39 +171,46 @@ class TextGenerator:
         """Baseline caption regardless of configured mode (shortfall fallback)."""
         return self.generate_batch(class_id, [sample_key], baseline=True)[0]
 
-    def _baseline(self, cid: int, rng: np.random.Generator) -> str:
-        mention = self.graph.entities.name(cid)
-        if self.config.p_hypernym > 0 and rng.random() < self.config.p_hypernym:
-            pool = self._hypernyms.get(cid, []) + self.confusables.get(mention, [])
-            if pool:
-                mention = pool[int(rng.integers(len(pool)))]
-        return BASELINE_TEMPLATE.format(mention=mention)
-
-    def _corrupted(self, cid: int, rng: np.random.Generator) -> str:
+    def _baseline(self, cid: int, u: np.ndarray) -> list[str]:
+        """Captions from columns collapse, mention pick."""
         name = self.graph.entities.name(cid)
-        confs = self.confusables.get(name, [])
-        kept: list[str] = []
-        for clause in self._clauses[cid]:
-            if rng.random() < self.config.p_drop:
-                continue
-            if confs and self.config.p_swap > 0 and rng.random() < self.config.p_swap:
-                other = self.graph.entities.get(confs[int(rng.integers(len(confs)))])
-                repl = self._clauses.get(other)
-                if repl:
-                    clause = repl[int(rng.integers(len(repl)))]
-            kept.append(f"it {clause}.")
-        if not self._fillers:
-            return " ".join(kept)
-        parts = [self._filler(rng)]
-        for sentence in kept:
-            parts.append(sentence)
-            if rng.random() < _FILLER_BETWEEN_P:
-                parts.append(self._filler(rng))
-        parts.append(self._filler(rng))
-        return " ".join(parts)
+        pool = self._hypernyms.get(cid, []) + self.confusables.get(name, [])
+        captions = [BASELINE_TEMPLATE.format(mention=m) for m in [name] + pool]
+        p = self.config.p_hypernym if pool else 0.0
+        return [captions[1 + int(pick * len(pool)) if collapse < p else 0]
+                for collapse, pick in u.tolist()]
 
-    def _filler(self, rng: np.random.Generator) -> str:
-        return self._fillers[int(rng.integers(len(self._fillers)))] + "."
+    def _corrupted(self, cid: int, u: np.ndarray) -> list[str]:
+        """Texts from 6 columns per clause, then the leading and trailing filler.
+
+        A clause's columns are drop, swap, confusable pick, that confusable's
+        clause, filler-between and filler pick; filler or not, the drop and
+        swap pattern of a row is the same.
+        """
+        own = self._clauses[cid]
+        pools = [self._clauses.get(self.graph.entities.get(c))
+                 for c in self.confusables[self.graph.entities.name(cid)]]
+        p_drop = self.config.p_drop
+        p_swap = self.config.p_swap if pools else 0.0
+        fillers = self._fillers
+        out = []
+        for row in u.tolist():
+            parts = [fillers[int(row[-2] * len(fillers))]] if fillers else []
+            for j, clause in enumerate(own):
+                drop, swap, conf, pick, between, fill = row[6 * j:6 * j + 6]
+                if drop < p_drop:
+                    continue
+                if swap < p_swap:
+                    repl = pools[int(conf * len(pools))]
+                    if repl:
+                        clause = repl[int(pick * len(repl))]
+                parts.append(f"it {clause}.")
+                if fillers and between < _FILLER_BETWEEN_P:
+                    parts.append(fillers[int(fill * len(fillers))])
+            if fillers:
+                parts.append(fillers[int(row[-1] * len(fillers))])
+            out.append(" ".join(parts))
+        return out
 
 
 def baseline_config(cfg: GeneratorConfig) -> GeneratorConfig:

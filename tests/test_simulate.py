@@ -6,8 +6,6 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import kgcil
 from kgcil import (
@@ -22,7 +20,7 @@ from kgcil import (
     parse_triplets,
     render_training_text,
 )
-from kgcil.simulate import sample_streams
+from kgcil.simulate import _FILLER_BETWEEN_P, _uniforms
 
 
 @pytest.fixture
@@ -243,43 +241,56 @@ class TestFiller:
             assert parse_triplets(t, fruit_graph.relations) == []
 
 
-# -- batched seeding against np.random.default_rng ------------------------
-
-EDGE_INTS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1, 2**64, 2**64 + 7, 2**96 + 3]
-seed_int = st.sampled_from(EDGE_INTS) | st.integers(min_value=0, max_value=2**130)
-sample_key = st.lists(seed_int, max_size=5).map(tuple) | seed_int
+# -- one PCG64 stream per class, one row per sample ----------------------
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed_int, st.lists(sample_key, min_size=1, max_size=12))
-def test_sample_streams_match_default_rng(seed, keys):
-    # a batch mixes keys of several word counts: short ones pad, long ones mix words in
-    streams = sample_streams(seed, keys)
-    assert len(streams) == len(keys)
-    for key, rng in zip(keys, streams):
-        want = np.random.default_rng((seed,) + (key if isinstance(key, tuple) else (key,)))
-        assert rng.bit_generator.state == want.bit_generator.state
-        assert rng.random(3).tolist() == want.random(3).tolist()
-        assert rng.integers(7, size=5).tolist() == want.integers(7, size=5).tolist()
-
-
-def test_sample_streams_one_key_equals_its_batch():
-    keys = [(0, 2**32 + 5, s) for s in range(40)] + [(1, 2)]
-    batch = sample_streams(2**32, keys)
-    for key, rng in zip(keys, batch):
-        (alone,) = sample_streams(2**32, [key])
-        assert alone.bit_generator.state == rng.bit_generator.state
-
-
-@pytest.mark.parametrize("key", [(0, -1), (-3,), -1])
+@pytest.mark.parametrize("key", [(0, -1), (-3,), -1, (0, -2, 4)])
 def test_negative_key_raises_like_default_rng(key, fruit_graph, fruit_sub):
+    # a negative row would otherwise wrap PCG64.advance silently
     with pytest.raises(ValueError):
         np.random.default_rng((0,) + (key if isinstance(key, tuple) else (key,)))
-    with pytest.raises(ValueError):
-        sample_streams(0, [(1, 2), key])
     gen = make_gen(fruit_graph, fruit_sub, p_drop=0.5)
+    cid = fruit_graph.entity_id("granny_smith")
     with pytest.raises(ValueError):
-        gen.generate(fruit_graph.entity_id("granny_smith"), key)
+        gen.generate(cid, key)
+    with pytest.raises(ValueError):
+        gen.generate_batch(cid, [(1, 2), key])
+
+
+def test_uniform_rows_are_stream_slices():
+    keys = [(4, 9, 3), (4, 9, 0), (1, 7), (4, 9, 6), 5, (4, 9, 3), (2**40, 1, 2)]
+    u = _uniforms(13, keys, 4)
+    assert u.shape == (len(keys), 4)
+    for key, row in zip(keys, u):
+        *stream, r = key if isinstance(key, tuple) else (key,)
+        want = np.random.default_rng((13, *stream)).random((r + 1) * 4)[r * 4:]
+        assert row.tolist() == want.tolist()
+        assert _uniforms(13, [key], 4)[0].tolist() == want.tolist()
+
+
+def test_corruption_rates_match_probabilities(fruit_graph, fruit_sub):
+    """Over 10^5 clauses, drop, swap and filler-between rates sit within 4 binomial sigma."""
+    p_drop, p_swap = 0.3, 0.25
+    gen = make_gen(fruit_graph, fruit_sub, p_drop=p_drop, p_swap=p_swap, filler=True, seed=8)
+    cid = fruit_graph.entity_id("granny_smith")
+    g = fruit_graph
+    own, other = ({f"it {g.relations.label(p.relations)} {g.entity_name(p.tail)}"
+                   for p in fruit_sub.assignments[g.entity_id(name)].paths}
+                  for name in ("granny_smith", "pineapple"))
+    assert not any(t.startswith("it ") for t in load_filler_templates())
+    n = -(-100_000 // len(own))
+    clauses = kept = swapped = between = 0
+    for text in gen.generate_batch(cid, [(0, cid, s) for s in range(n)]):
+        sentences = [x.strip() for x in text.split(".") if x.strip()]
+        said = [x for x in sentences if x.startswith("it ")]
+        assert set(said) <= own | other
+        clauses += len(own)
+        kept += len(said)
+        swapped += sum(x in other for x in said)
+        between += len(sentences) - len(said) - 2  # all but the leading and trailing filler
+    for hits, trials, p in [(clauses - kept, clauses, p_drop), (swapped, kept, p_swap),
+                            (between, kept, _FILLER_BETWEEN_P)]:
+        assert abs(hits / trials - p) < 4 * (p * (1 - p) / trials) ** 0.5, (hits, trials, p)
 
 
 @pytest.mark.parametrize("mode", ["corrupted", "baseline_gmm", "oracle"])
@@ -287,13 +298,13 @@ def test_generate_batch_equals_one_key_calls(mode, fruit_graph, fruit_sub):
     gen = make_gen(fruit_graph, fruit_sub, mode=mode, p_drop=0.4, p_swap=0.4, p_hypernym=0.5,
                    filler=True, seed=11)
     cid = fruit_graph.entity_id("pineapple")
-    keys = [(2, cid, s) for s in range(30)]
+    keys = [(2, cid, s) for s in range(30)] + [(0, cid, 4), (2, cid, 3), (1, cid, 0)]
     assert gen.generate_batch(cid, keys) == [gen.generate(cid, k) for k in keys]
     assert gen.generate_batch(cid, keys, baseline=True) == [gen.baseline_text(cid, k) for k in keys]
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
-    # sample_streams registers its seed type on first use; `kgcil query` never draws
+    # numpy.random loads on the first draw (_uniforms); `kgcil query` never draws
     src = os.path.dirname(os.path.dirname(os.path.abspath(kgcil.__file__)))
     code = "import sys, kgcil.cli; print('numpy.random' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
