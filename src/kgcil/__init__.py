@@ -31,7 +31,7 @@ from .triplet_text import (
     parse_triplets,
     render_training_text,
 )
-from .encoders import HashingEncoder, cosine, encoder_from_config, fnv1a_64
+from .encoders import HashingEncoder, encoder_from_config, fnv1a_64
 from .inference import (
     BatchInference,
     EmptyCandidates,

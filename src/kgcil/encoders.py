@@ -1,9 +1,9 @@
 """Deterministic text encoders used by the similarity classifier.
 
 The default encoder hashes lowercase alphanumeric tokens into a fixed number
-of buckets with 64-bit FNV-1a and L2-normalizes the counts. It is a stand-in
-for a learned embedding model: cheap, reproducible, and good enough to rank
-texts by token overlap.
+of buckets with 64-bit FNV-1a and counts them; `inference.rank_rows` ranks
+the counts by cosine. It is a stand-in for a learned embedding model: cheap,
+reproducible, and good enough to rank texts by token overlap.
 """
 
 from __future__ import annotations
@@ -28,16 +28,8 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
-
-
 class HashingEncoder:
-    """Bag of hashed tokens; output is unit-norm (or all-zero for empty text)."""
+    """Bag of hashed tokens; output is each bucket's token count (all-zero for empty text)."""
 
     id = "hashing"
 
@@ -51,13 +43,10 @@ class HashingEncoder:
         return self.encode_batch([text])[0]
 
     def encode_batch(self, texts) -> np.ndarray:
-        """One unit-norm (or all-zero) row per text, shape (len(texts), dimension).
+        """One row of token counts per text, float64, shape (len(texts), dimension).
 
         '.' splits tokens, so a text's buckets are its '.'-pieces' buckets in
-        order; each distinct piece is tokenized once per call. Counts are
-        small integers, so their sum of squares is exact in any summation
-        order and every row is the same bits however many texts share the
-        batch.
+        order; each distinct piece is tokenized once per call.
         """
         n, dim = len(texts), self.dimension
         buckets = self._buckets
@@ -78,10 +67,7 @@ class HashingEncoder:
         lengths = [len(row) for row in rows]
         cells = np.repeat(np.arange(n, dtype=np.int64) * dim, lengths)
         cells += np.fromiter(chain.from_iterable(rows), np.int64, sum(lengths))
-        out = np.bincount(cells, minlength=n * dim).reshape(n, dim).astype(np.float64)
-        norms = np.sqrt((out * out).sum(axis=1, keepdims=True))
-        np.divide(out, norms, out=out, where=norms > 0)
-        return out
+        return np.bincount(cells, minlength=n * dim).reshape(n, dim).astype(np.float64)
 
     def to_config(self) -> dict:
         return {"id": self.id, "dimension": self.dimension}

@@ -6,8 +6,8 @@ name is prepended to the raw text, and the augmented text is ranked against
 candidate class names by cosine similarity.
 
 infer_batch runs the pipeline for many texts at once (the harness sends one
-batch per class): one encode for the batch, then one matrix-vector product
-per text, so a text gets the same bits in a batch as alone.
+batch per class). Ranking is exact arithmetic on the encoder's token counts,
+so a text ranks the same in a batch as alone.
 """
 
 from __future__ import annotations
@@ -87,14 +87,15 @@ def encode_candidates(names, encoder) -> np.ndarray:
 
 @dataclass
 class BatchInference:
-    """Ranked texts; row i of every field belongs to the i-th text."""
+    """Ranked texts; row i of every per-text field belongs to the i-th text."""
 
     augmented: list[str]
     votes: list[tuple[VoteTally | None, str | None]]
-    candidates: tuple[str, ...]  # distinct names, the column order of scores
-    scores: np.ndarray
+    candidates: tuple[str, ...]  # distinct names, the column order of keys
+    keys: np.ndarray  # rank keys d²/c2, texts x candidates (see rank_rows)
+    t2: np.ndarray  # each text's squared count norm
     best: np.ndarray  # winning column per row
-    tie: np.ndarray  # the row's top score is shared
+    tie: np.ndarray  # the row's top cosine is shared
     vote_ms: float = 0.0  # parse + vote, whole batch
     classify_ms: float = 0.0  # augment + encode + rank, whole batch
 
@@ -102,50 +103,68 @@ class BatchInference:
         return self.candidates[self.best[i]]
 
     def prediction(self, i: int) -> Prediction:
+        """Row i, reporting cosines sqrt(key/t2): tied keys report one value, a zero norm 0.0."""
         tally, head = self.votes[i]
-        scores = dict(zip(self.candidates, self.scores[i].tolist()))
-        return Prediction(self.final_class(i), self.augmented[i], scores, bool(self.tie[i]),
+        cosines = np.sqrt(self.keys[i] / max(self.t2[i], 1.0))
+        return Prediction(self.final_class(i), self.augmented[i],
+                          dict(zip(self.candidates, cosines.tolist())), bool(self.tie[i]),
                           graph_head=head, tally=tally)
 
 
 @lru_cache(maxsize=16)
-def _candidate_order(candidates: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[int, ...], np.ndarray]:
-    """Distinct names, the column each keeps (a repeat keeps its last), and their lexicographic rank.
-
-    Cached because every class of a session is ranked against the same list.
-    """
-    last = {name: j for j, name in enumerate(candidates)}
-    order = {name: k for k, name in enumerate(sorted(last))}
-    rank = np.array([order[name] for name in last])
+def _name_rank(candidates: tuple[str, ...]) -> np.ndarray:
+    """Each candidate's lexicographic rank, cached: a session ranks every class against one list."""
+    order = {name: k for k, name in enumerate(sorted(candidates))}
+    if len(order) < len(candidates):
+        raise ValueError("candidate class names must be distinct")
+    rank = np.array([order[name] for name in candidates])
     rank.flags.writeable = False
-    return tuple(last), tuple(last.values()), rank
+    return rank
 
 
-def rank_rows(texts, vectors, candidates, encoder, candidate_vectors: np.ndarray | None = None,
-              votes=None) -> BatchInference:
-    """Rank encoded texts against the candidates; ties go lexicographic.
+def _exact_best(row: np.ndarray, candidate_vectors: np.ndarray, rank: np.ndarray) -> tuple[int, bool]:
+    """Best column and tie of one row by d²/c2 as Python integers, for rows past the float bound."""
+    from fractions import Fraction  # here, not at the top: the import costs a cold start ~3 ms
 
-    A repeated candidate name keeps its last vector, as a name-keyed score
-    dict would. Scores are filled one matrix-vector product per row, the
-    same operation as `candidate_vectors @ vector`: a single matrix-matrix
-    product sums in another order, moves scores by an ulp and turns exact
-    ties into non-ties.
+    cols = np.flatnonzero(row)
+    counts = [int(x) for x in row[cols].tolist()]
+    keys = [Fraction(sum(a * int(b) for a, b in zip(counts, c[cols].tolist())) ** 2,
+                     max(sum(int(b) ** 2 for b in c.tolist()), 1)) for c in candidate_vectors]
+    best = min(range(len(keys)), key=lambda j: (-keys[j], rank[j]))
+    return best, keys.count(keys[best]) > 1
+
+
+def rank_rows(texts, vectors: np.ndarray, candidates, encoder,
+              candidate_vectors: np.ndarray | None = None, votes=None) -> BatchInference:
+    """Rank rows of token counts against the candidates by cosine; ties go lexicographic.
+
+    Counts are non-negative integers, so a row's dot products d and the
+    squared norms c2 (candidates) and t2 (row) are exact, and the cosine
+    order is the order of d²/c2. While t2 * max(c2)² < 2^52 the float key
+    d*d / max(c2, 1) keeps equal rationals equal and distinct ones apart and
+    in order; rows past that bound are ranked with Python integers.
     """
     candidates = tuple(candidates)
     if not candidates:
         raise EmptyCandidates("no candidate classes to rank against")
     if candidate_vectors is None:
         candidate_vectors = encode_candidates(candidates, encoder)
-    names, columns, rank = _candidate_order(candidates)
-    if len(columns) < len(candidates):
-        candidate_vectors = candidate_vectors[list(columns)]
-    scores = np.empty((len(vectors), len(names)))
+    rank = _name_rank(candidates)
+    c2 = np.einsum("ij,ij->i", candidate_vectors, candidate_vectors)
+    t2 = np.einsum("ij,ij->i", vectors, vectors)
+    # exact in any order; one matrix-vector product per row, as a batched matmul
+    # runs OpenBLAS's threaded GEMM: slower on `kgcil run`, and some processes stall in it
+    dots = np.empty((len(vectors), len(candidates)))
     for i, row in enumerate(vectors):
-        np.matmul(candidate_vectors, row, out=scores[i])
-    tied = scores == scores.max(axis=1, keepdims=True)
+        np.matmul(candidate_vectors, row, out=dots[i])
+    keys = dots * dots / np.maximum(c2, 1.0)
+    tied = keys == keys.max(axis=1, keepdims=True)
     best = np.where(tied, rank, len(rank)).argmin(axis=1)
-    return BatchInference(list(texts), votes or [(None, None)] * len(texts), names, scores,
-                          best, tied.sum(axis=1) > 1)
+    tie = tied.sum(axis=1) > 1
+    for i in np.flatnonzero(t2 * c2.max() ** 2 >= 2.0 ** 52):
+        best[i], tie[i] = _exact_best(vectors[i], candidate_vectors, rank)
+    return BatchInference(list(texts), votes or [(None, None)] * len(texts), candidates,
+                          keys, t2, best, tie)
 
 
 def classify(text: str, candidates, encoder, candidate_vectors: np.ndarray | None = None) -> Prediction:
@@ -154,7 +173,7 @@ def classify(text: str, candidates, encoder, candidate_vectors: np.ndarray | Non
     candidate_vectors, when given, must be encoder outputs aligned with
     candidates (callers cache them to avoid re-encoding per sample).
     """
-    return rank_rows([text], [encoder.encode(text)], candidates, encoder,
+    return rank_rows([text], encoder.encode(text)[None], candidates, encoder,
                      candidate_vectors).prediction(0)
 
 
@@ -162,8 +181,8 @@ def infer_batch(texts, subgraph: TaskSubgraph, candidates, encoder,
                 candidate_vectors: np.ndarray | None = None) -> BatchInference:
     """parse -> vote -> augment -> classify for many texts with one encode.
 
-    Every row is bit-identical to infer() on that text alone. When no
-    triplet of a text matches the registry, its row equals classify(text).
+    Every row equals infer() on that text alone. When no triplet of a text
+    matches the registry, its row equals classify(text).
     """
     relations = subgraph.graph.relations if subgraph.graph is not None else None
     t0 = time.perf_counter()

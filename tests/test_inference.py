@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgcil import (
     EmptyCandidates,
@@ -169,35 +173,47 @@ class TestClassify:
         assert pred.final_class == "apple"
         assert pred.tie
 
-    def test_repeated_candidate_keeps_last_vector(self):
+    def test_repeated_candidate_raises(self):
         enc = HashingEncoder(64)
-        names = ["beta", "alpha", "beta"]
-        vecs = encode_candidates(["gamma", "alpha", "beta"], enc)
-        pred = classify("beta", names, enc, candidate_vectors=vecs)
-        assert list(pred.similarity_scores) == ["beta", "alpha"]
-        assert pred.similarity_scores["beta"] == pytest.approx(1.0)
-        assert pred.final_class == "beta" and not pred.tie
+        vecs = encode_candidates(["beta", "alpha", "beta"], enc)
+        with pytest.raises(ValueError):
+            classify("beta", ["beta", "alpha", "beta"], enc, candidate_vectors=vecs)
 
-    def test_argmax_scale_invariant(self):
-        # rank_rows' argmax against the name-keyed rule it replaced:
-        # max score, exact ties to the smallest name
-        rng = np.random.default_rng(1)
-        names = [f"c{i}" for i in rng.permutation(6)]
-        for _ in range(50):
-            cand = rng.random((6, 4))
-            cand[int(rng.integers(6))] = cand[int(rng.integers(6))]  # a shared vector ties exactly
-            rows = rng.random((3, 4))
-            rows[0] = 0.0  # all-zero scores tie across every candidate
-            for scale in (1.0, 3.7):
-                ranking = rank_rows([""] * 3, rows * scale, names, None, cand)
-                for i in range(len(rows)):
-                    scores = dict(zip(names, (cand @ (rows[i] * scale)).tolist()))
-                    want = min(scores, key=lambda n: (-scores[n], n))
-                    assert ranking.final_class(i) == want
-                    assert ranking.tie[i] == (list(scores.values()).count(scores[want]) > 1)
-            plain = rank_rows([""] * 3, rows, names, None, cand)
-            scaled = rank_rows([""] * 3, rows * 3.7, names, None, cand)
-            assert list(plain.best) == list(scaled.best)
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_rank_rows_matches_fraction_reference(self, data):
+        # the exact cosine order of integer counts: maximum d²/c2, ties to the
+        # smallest name, tie set exactly when the maximum is shared
+        m, dim = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+        cell = st.integers(0, data.draw(st.sampled_from([3, 2**22])))
+        vector = st.lists(cell, min_size=dim, max_size=dim)
+        cand = np.array(data.draw(st.lists(vector, min_size=m, max_size=m)), dtype=np.float64)
+        if m > 1 and data.draw(st.booleans()):
+            cand[data.draw(st.integers(1, m - 1))] = cand[0]  # one vector, two names
+        if data.draw(st.booleans()):
+            cand[data.draw(st.integers(0, m - 1))] = 0.0
+        rows = data.draw(st.lists(vector, max_size=4)) + [[0] * dim]  # an all-zero text
+        scales = data.draw(st.lists(st.sampled_from([1, 2**30, 3**20]), min_size=len(rows),
+                                    max_size=len(rows)))  # the larger ones pass the 2^52 bound
+        rows = np.array(rows, dtype=np.float64) * np.array(scales, dtype=np.float64)[:, None]
+        names = [f"c{k}" for k in data.draw(st.permutations(range(m)))]
+        ranking = rank_rows([""] * len(rows), rows, names, None, cand)
+        cand_ints = [[int(x) for x in c] for c in cand.tolist()]
+        for i, row in enumerate(rows.tolist()):
+            counts = [int(x) for x in row]
+            keys = {name: Fraction(sum(a * b for a, b in zip(counts, c)) ** 2, max(sum(b * b for b in c), 1))
+                    for name, c in zip(names, cand_ints)}
+            top = sorted(name for name, key in keys.items() if key == max(keys.values()))
+            assert ranking.final_class(i) == top[0]
+            assert ranking.tie[i] == (len(top) > 1)
+            t2 = sum(a * a for a in counts)
+            if t2 * max(sum(b * b for b in c) for c in cand_ints) ** 2 < 2**52:
+                # reported cosines come from the same keys, so they order like the ranking
+                scores = ranking.prediction(i).similarity_scores
+                assert min(scores, key=lambda n: (-scores[n], n)) == top[0]
+                assert scores[top[0]] == pytest.approx(float(keys[top[0]] / max(t2, 1)) ** 0.5)
+        assert ranking.final_class(len(rows) - 1) == min(names)  # all-zero text: every key is 0
+        assert ranking.tie[len(rows) - 1] == (m > 1)
 
 
 class TestInfer:

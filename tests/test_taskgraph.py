@@ -102,14 +102,14 @@ class TestClassOfPair:
         extend_subgraph(sub, ["granny_smith"], g, 2)
         isa = g.relation_id("IsA")
         key = ((isa,), g.entity_id("fruit"))
-        assert sub.class_of_pair(key) == g.entity_id("granny_smith")
-        assert sub.class_of_pair(RelationPath((isa,), g.entity_id("fruit"))) == g.entity_id("granny_smith")
-        assert sub.class_of_pair(((isa,), g.entity_id("pizza"))) is None
+        assert sub.pair_to_class[key] == g.entity_id("granny_smith")
+        assert sub.pair_to_class[RelationPath((isa,), g.entity_id("fruit")).key] == g.entity_id("granny_smith")
+        assert ((isa,), g.entity_id("pizza")) not in sub.pair_to_class
 
     def test_empty_subgraph(self, fruit_graph):
         sub = TaskSubgraph()
-        assert sub.class_of_pair(((0,), 1)) is None
-        assert sub.is_empty()
+        assert ((0,), 1) not in sub.pair_to_class
+        assert not sub.assignments
 
 
 class TestExport:
