@@ -122,8 +122,9 @@ def _name_rank(candidates: tuple[str, ...]) -> np.ndarray:
     return rank
 
 
-def _exact_best(row: np.ndarray, candidate_vectors: np.ndarray, rank: np.ndarray) -> tuple[int, bool]:
-    """Best column and tie of one row by d²/c2 as Python integers, for rows past the float bound."""
+def _exact_best(row: np.ndarray, candidate_vectors: np.ndarray,
+                rank: np.ndarray) -> tuple[int, bool]:
+    """Best column and tie of one row, by d²/c2 in Python integers (rows past the float bound)."""
     from fractions import Fraction  # here, not at the top: the import costs a cold start ~3 ms
 
     cols = np.flatnonzero(row)

@@ -201,7 +201,8 @@ class TestClassify:
         cand_ints = [[int(x) for x in c] for c in cand.tolist()]
         for i, row in enumerate(rows.tolist()):
             counts = [int(x) for x in row]
-            keys = {name: Fraction(sum(a * b for a, b in zip(counts, c)) ** 2, max(sum(b * b for b in c), 1))
+            keys = {name: Fraction(sum(a * b for a, b in zip(counts, c)) ** 2,
+                                   max(sum(b * b for b in c), 1))
                     for name, c in zip(names, cand_ints)}
             top = sorted(name for name, key in keys.items() if key == max(keys.values()))
             assert ranking.final_class(i) == top[0]

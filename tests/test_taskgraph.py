@@ -103,7 +103,8 @@ class TestClassOfPair:
         isa = g.relation_id("IsA")
         key = ((isa,), g.entity_id("fruit"))
         assert sub.pair_to_class[key] == g.entity_id("granny_smith")
-        assert sub.pair_to_class[RelationPath((isa,), g.entity_id("fruit")).key] == g.entity_id("granny_smith")
+        path = RelationPath((isa,), g.entity_id("fruit"))
+        assert sub.pair_to_class[path.key] == g.entity_id("granny_smith")
         assert ((isa,), g.entity_id("pizza")) not in sub.pair_to_class
 
     def test_empty_subgraph(self, fruit_graph):
