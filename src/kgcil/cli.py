@@ -105,20 +105,11 @@ def cmd_build(args) -> int:
 
 
 def _schedule_from_config(doc: dict) -> TaskSchedule:
-    sched = doc["schedule"]
-    if "classes" in sched:
-        classes = list(sched["classes"])
-    else:
-        classes = [name for block in parse_classes_file(sched["classes_file"]) for name in block]
-    samples = sched.get("samples_per_class", 100)
-    kind = sched["kind"]
-    if kind == "b0":
-        return TaskSchedule.b0(classes, sched["n_tasks"], samples_per_class=samples)
-    if kind == "b100":
-        return TaskSchedule.b100(classes, sched["base_size"], sched["n_incremental"],
-                                 samples_per_class=samples)
-    return TaskSchedule.fewshot(classes, sched["base_size"], sched.get("way", 5),
-                                sched.get("shot", 5), samples_per_class=samples)
+    sched = dict(doc["schedule"])
+    if "classes_file" in sched:
+        sched["classes"] = [name for block in parse_classes_file(sched.pop("classes_file"))
+                            for name in block]
+    return TaskSchedule(**sched)
 
 
 def cmd_run(args) -> int:
@@ -126,31 +117,24 @@ def cmd_run(args) -> int:
     graph = load_graph(doc["graph_path"])
     schedule = _schedule_from_config(doc)
     generator = GeneratorConfig.from_dict(doc.get("generator", {}))
-    encoder = encoder_from_config(doc.get("encoder", {"id": "hashing", "dimension": 256}))
+    encoder = encoder_from_config(doc.get("encoder", {}))
     jobs = args.jobs or doc.get("jobs") or os.cpu_count() or 1
     outdir = doc["output_dir"]
     os.makedirs(outdir, exist_ok=True)
     diagnostics = os.path.join(outdir, "diagnostics.jsonl") if doc.get("diagnostics") else None
-    common = dict(jobs=jobs, class_text_mode=doc.get("class_text_mode", "name"))
+    arms = dict(jobs=jobs, class_text_mode=doc.get("class_text_mode", "name"),
+                diagnostics_path=diagnostics)
     log.warning("%s", SIMULATION_CAVEAT)
-    if doc.get("compare_baseline"):
-        paired = run_paired_comparison(graph, schedule, generator, doc["r_target"],
-                                       encoder, doc["orders"],
-                                       diagnostics_path=diagnostics, **common)
-        report = paired["augmented"]
-        metrics = report.to_dict()
-        metrics["config"]["run_config"] = doc
-        metrics["comparison"] = {
-            "baseline": paired["baseline"].to_dict(),
-            "margins": paired["margins"],
-        }
-        rows = report.session_rows("augmented") + paired["baseline"].session_rows("baseline")
-    else:
-        report = run_experiment(graph, schedule, generator, doc["r_target"], encoder,
-                                doc["orders"], diagnostics_path=diagnostics, **common)
-        metrics = report.to_dict()
-        metrics["config"]["run_config"] = doc
-        rows = report.session_rows()
+    run_args = (graph, schedule, generator, doc["r_target"], encoder, doc["orders"])
+    paired = run_paired_comparison(*run_args, **arms) if doc.get("compare_baseline") else None
+    report = paired["augmented"] if paired else run_experiment(*run_args, **arms)
+    metrics = report.to_dict()
+    metrics["config"]["run_config"] = doc
+    rows = report.session_rows()
+    if paired:
+        metrics["comparison"] = {"baseline": paired["baseline"].to_dict(),
+                                 "margins": paired["margins"]}
+        rows += paired["baseline"].session_rows("baseline")
     with open(os.path.join(outdir, "metrics.json"), "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, indent=2)
         fh.write("\n")

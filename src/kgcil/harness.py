@@ -15,7 +15,7 @@ import json
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,10 @@ CLASS_TEXT_MODES = ("name", "name_plus_triplets")
 
 @dataclass
 class TaskSchedule:
-    """Class list plus a split recipe; the split applies to a shuffled order."""
+    """Class list plus a split recipe; the split applies to a shuffled order.
+
+    A recipe that cannot split its own class list raises ValueError here.
+    """
 
     classes: list[str]
     kind: str
@@ -49,59 +52,48 @@ class TaskSchedule:
     shot: int = 5
     samples_per_class: int = 100
 
+    def __post_init__(self):
+        self.classes = list(self.classes)
+        self.split(self.classes)
+
     @classmethod
     def b0(cls, classes, n_tasks: int, samples_per_class: int = 100) -> "TaskSchedule":
-        classes = list(classes)
-        if n_tasks < 1 or n_tasks > len(classes):
-            raise ValueError(f"n_tasks must be in [1, {len(classes)}], got {n_tasks}")
         return cls(classes, "b0", n_tasks=n_tasks, samples_per_class=samples_per_class)
 
     @classmethod
     def b100(cls, classes, base_size: int, n_incremental: int,
              samples_per_class: int = 100) -> "TaskSchedule":
-        classes = list(classes)
-        rest = len(classes) - base_size
-        if base_size < 1 or rest < n_incremental or n_incremental < 1:
-            raise ValueError(
-                f"bad split: base {base_size} + {n_incremental} incremental over {len(classes)} classes")
         return cls(classes, "b100", base_size=base_size, n_incremental=n_incremental,
                    samples_per_class=samples_per_class)
 
     @classmethod
     def fewshot(cls, classes, base_size: int = 60, way: int = 5, shot: int = 5,
                 samples_per_class: int = 100) -> "TaskSchedule":
-        classes = list(classes)
-        rest = len(classes) - base_size
-        if base_size < 1 or rest < 0 or (rest and rest % way):
-            raise ValueError(
-                f"{len(classes)} classes cannot split into base {base_size} plus {way}-way sessions")
         return cls(classes, "fewshot", base_size=base_size, way=way, shot=shot,
                    samples_per_class=samples_per_class)
 
     def split(self, ordered: list[str]) -> list[list[str]]:
         """Partition an ordered class list into per-session lists."""
+        base, rest = ordered[: self.base_size], ordered[self.base_size:]
         if self.kind == "b0":
+            if self.n_tasks < 1 or self.n_tasks > len(ordered):
+                raise ValueError(f"n_tasks must be in [1, {len(ordered)}], got {self.n_tasks}")
             return _even_chunks(ordered, self.n_tasks)
         if self.kind == "b100":
-            return [ordered[: self.base_size]] + _even_chunks(ordered[self.base_size:], self.n_incremental)
+            if self.base_size < 1 or len(rest) < self.n_incremental or self.n_incremental < 1:
+                raise ValueError(f"bad split: base {self.base_size} + {self.n_incremental} "
+                                 f"incremental over {len(ordered)} classes")
+            return [base] + _even_chunks(rest, self.n_incremental)
         if self.kind == "fewshot":
-            rest = ordered[self.base_size:]
-            return [ordered[: self.base_size]] + [
-                rest[i: i + self.way] for i in range(0, len(rest), self.way)
-            ]
+            if (self.base_size < 1 or self.way < 1 or len(ordered) < self.base_size
+                    or len(rest) % self.way):
+                raise ValueError(f"{len(ordered)} classes cannot split into base "
+                                 f"{self.base_size} plus {self.way}-way sessions")
+            return [base] + [rest[i: i + self.way] for i in range(0, len(rest), self.way)]
         raise ValueError(f"unknown schedule kind: {self.kind!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "classes": list(self.classes),
-            "n_tasks": self.n_tasks,
-            "base_size": self.base_size,
-            "n_incremental": self.n_incremental,
-            "way": self.way,
-            "shot": self.shot,
-            "samples_per_class": self.samples_per_class,
-        }
+        return {"kind": self.kind, **asdict(self)}
 
 
 def _even_chunks(items: list[str], n: int) -> list[list[str]]:
@@ -313,7 +305,7 @@ def _candidate_vectors(seen: list[str], subgraph: TaskSubgraph, encoder,
 def run_experiment(graph: KnowledgeGraph, schedule: TaskSchedule,
                    generator: GeneratorConfig, r_target: int, encoder, orders,
                    *, jobs: int = 1, class_text_mode: str = "name",
-                   diagnostics_path=None, config_echo: dict | None = None) -> MetricsReport:
+                   diagnostics_path=None) -> MetricsReport:
     """Run the schedule once per class order and aggregate metrics.
 
     orders is a list of shuffle seeds; every class must resolve to a graph
@@ -336,13 +328,9 @@ def run_experiment(graph: KnowledgeGraph, schedule: TaskSchedule,
     finally:
         if diag:
             diag.close()
-    echo = dict(config_echo or {})
-    echo.setdefault("generator", generator.to_dict())
-    echo.setdefault("r_target", r_target)
-    echo.setdefault("orders", orders)
-    echo.setdefault("schedule", schedule.to_dict())
-    echo.setdefault("encoder", encoder.to_config())
-    echo.setdefault("class_text_mode", class_text_mode)
+    echo = {"generator": generator.to_dict(), "r_target": r_target, "orders": orders,
+            "schedule": schedule.to_dict(), "encoder": encoder.to_config(),
+            "class_text_mode": class_text_mode}
     return MetricsReport(orders=results, config=echo)
 
 
