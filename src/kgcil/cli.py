@@ -106,6 +106,8 @@ def cmd_build(args) -> int:
 
 def _schedule_from_config(doc: dict) -> TaskSchedule:
     sched = dict(doc["schedule"])
+    if sched.pop("shot", None) is not None:
+        log.warning("schedule: 'shot' is deprecated and ignored")
     if "classes_file" in sched:
         sched["classes"] = [name for block in parse_classes_file(sched.pop("classes_file"))
                             for name in block]

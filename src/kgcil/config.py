@@ -30,7 +30,7 @@ RUN_CONFIG_SCHEMA = {
                 "base_size": {"type": "integer", "minimum": 1},
                 "n_incremental": {"type": "integer", "minimum": 1},
                 "way": {"type": "integer", "minimum": 1},
-                "shot": {"type": "integer", "minimum": 1},
+                "shot": {"type": "integer", "minimum": 1, "deprecated": True},  # ignored
                 "samples_per_class": {"type": "integer", "minimum": 1},
             },
         },

@@ -49,7 +49,6 @@ class TaskSchedule:
     base_size: int = 0
     n_incremental: int = 0
     way: int = 5
-    shot: int = 5
     samples_per_class: int = 100
 
     def __post_init__(self):
@@ -67,9 +66,9 @@ class TaskSchedule:
                    samples_per_class=samples_per_class)
 
     @classmethod
-    def fewshot(cls, classes, base_size: int = 60, way: int = 5, shot: int = 5,
+    def fewshot(cls, classes, base_size: int = 60, way: int = 5,
                 samples_per_class: int = 100) -> "TaskSchedule":
-        return cls(classes, "fewshot", base_size=base_size, way=way, shot=shot,
+        return cls(classes, "fewshot", base_size=base_size, way=way,
                    samples_per_class=samples_per_class)
 
     def split(self, ordered: list[str]) -> list[list[str]]:

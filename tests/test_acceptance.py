@@ -114,7 +114,7 @@ def test_criterion_2_oracle_fidelity(fruit_graph):
         (synthetic_graph(20, n_relations=6, facts_per_class=4, seed=8),
          [class_name(i) for i in range(20)],
          TaskSchedule.fewshot([class_name(i) for i in range(20)], base_size=10,
-                              way=5, shot=5, samples_per_class=3), 3),
+                              way=5, samples_per_class=3), 3),
     ]
     checked = 0
     for graph, classes, schedule, r in fixtures:

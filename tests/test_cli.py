@@ -188,6 +188,17 @@ class TestRun:
         assert code == EXIT_OK
         assert json.loads(out)["summary"]["last"]["mean"] == 1.0
 
+    def test_deprecated_shot_is_ignored(self, capsys, synth_tsv, tmp_path):
+        cfg = self.write_config(
+            tmp_path, synth_tsv, orders=[0],
+            schedule={"kind": "fewshot", "classes": [class_name(i) for i in range(12)],
+                      "base_size": 2, "way": 5, "shot": 1, "samples_per_class": 2},
+        )
+        code, out, err = run_cli(capsys, "run", str(cfg))
+        assert code == EXIT_OK
+        assert "shot" not in json.loads(out)["config"]["schedule"]
+        assert err.count("'shot' is deprecated and ignored") == 1
+
 
 class TestKeyOrder:
     """The printed key order of every record, which sort_keys in the golden fixture leaves unpinned."""
@@ -222,8 +233,7 @@ class TestKeyOrder:
             assert list(config["generator"]) == ["mode", "p_drop", "p_swap", "p_hypernym",
                                                  "seed", "filler"]
             assert list(config["schedule"]) == ["kind", "classes", "n_tasks", "base_size",
-                                                "n_incremental", "way", "shot",
-                                                "samples_per_class"]
+                                                "n_incremental", "way", "samples_per_class"]
             order = doc["orders"][0]
             assert list(order) == ["seed", "sessions", "avg", "last", "pd", "hacc"]
             for session in order["sessions"]:

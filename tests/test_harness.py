@@ -62,7 +62,6 @@ class TestSchedule:
         assert len(parts[0]) == 60
         assert len(parts) == 9
         assert all(len(p) == 5 for p in parts[1:])
-        assert sched.shot == 5
 
     def test_fewshot_rejects_ragged_tail(self):
         with pytest.raises(ValueError):
