@@ -62,10 +62,9 @@ def vote_head(triplets, subgraph: TaskSubgraph) -> tuple[VoteTally, str | None]:
     graph = subgraph.graph
     for trip in triplets:
         cid = None
-        if graph is not None:
-            tail_id = graph.entities.get(trip.tail)
-            if tail_id is not None:
-                cid = subgraph.pair_to_class.get((trip.relations, tail_id))
+        tail_id = graph.entities.get(trip.tail)
+        if tail_id is not None:
+            cid = subgraph.pair_to_class.get((trip.relations, tail_id))
         if cid is None:
             tally.unmatched.append(trip)
         else:
@@ -185,9 +184,8 @@ def infer_batch(texts, subgraph: TaskSubgraph, candidates, encoder,
     Every row equals infer() on that text alone. When no triplet of a text
     matches the registry, its row equals classify(text).
     """
-    relations = subgraph.graph.relations if subgraph.graph is not None else None
     t0 = time.perf_counter()
-    parsed = parse_batch(texts, relations) if relations is not None else [[]] * len(texts)
+    parsed = parse_batch(texts, subgraph.graph.relations)
     votes = [vote_head(triplets, subgraph) for triplets in parsed]
     t1 = time.perf_counter()
     augmented = [augment_text(t, head) for t, (_, head) in zip(texts, votes)]

@@ -161,9 +161,6 @@ class NameTable:
     def __len__(self) -> int:
         return len(self._names)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._ids
-
 
 class KnowledgeGraph:
     """Immutable fact collection with by-head and by-(relation, tail) indexes."""
@@ -204,9 +201,6 @@ class KnowledgeGraph:
 
     @property
     def n_facts(self) -> int:
-        return len(self._h)
-
-    def __len__(self) -> int:
         return len(self._h)
 
     def entity_id(self, name: str) -> int | None:

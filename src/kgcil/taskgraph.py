@@ -66,7 +66,7 @@ class AllocationReport(Record):
 class TaskSubgraph:
     """Evolving class -> relation-path registry; pair_to_class doubles as the used-pair set."""
 
-    def __init__(self, graph: KnowledgeGraph | None = None):
+    def __init__(self, graph: KnowledgeGraph):
         self.graph = graph
         self.assignments: dict[int, ClassAssignment] = {}
         self.pair_to_class: dict[PairKey, int] = {}
@@ -74,14 +74,7 @@ class TaskSubgraph:
 
     def class_names(self) -> list[str]:
         """Assigned class names in allocation order."""
-        assert self.graph is not None or not self.assignments
         return [self.graph.entities.name(c) for c in self.assignments]
-
-    def _bind(self, graph: KnowledgeGraph) -> None:
-        if self.graph is None:
-            self.graph = graph
-        elif self.graph is not graph:
-            raise ValueError("subgraph is already bound to a different graph")
 
 
 def _candidates(graph: KnowledgeGraph, cid: int):
@@ -108,7 +101,8 @@ def extend_subgraph(subgraph: TaskSubgraph, new_classes, graph: KnowledgeGraph,
     """
     if r_target < 1:
         raise ValueError(f"r_target must be >= 1, got {r_target}")
-    subgraph._bind(graph)
+    if subgraph.graph is not graph:
+        raise ValueError("subgraph belongs to a different graph")
     labels, tails = graph.relations.memo(label_reads_back), graph.relations.memo(tail_reads_back)
     entity_name = graph.entities.name
     task_index = subgraph.tasks

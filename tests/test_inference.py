@@ -29,7 +29,7 @@ from kgcil.synthetic import class_name, synthetic_graph
 
 @pytest.fixture
 def fruit_sub(fruit_graph):
-    sub = TaskSubgraph()
+    sub = TaskSubgraph(fruit_graph)
     extend_subgraph(sub, ["granny_smith"], fruit_graph, 2)
     extend_subgraph(sub, ["pineapple"], fruit_graph, 2)
     return sub
@@ -67,10 +67,6 @@ class TestVote:
         assert head == "granny_smith"
         assert tally.is_tied()
 
-    def test_unbound_subgraph(self):
-        tally, head = vote_head([ParsedTriplet((0,), "x")], TaskSubgraph())
-        assert head is None and tally.counts == {}
-
     def test_every_match_is_owned(self, fruit_graph, fruit_sub):
         g = fruit_graph
         triplets = [trip(g, ["IsA"], "fruit"), trip(g, ["ReceiveAction"], "eaten")]
@@ -102,7 +98,7 @@ class TestVoteOracle:
         rng = np.random.default_rng(7)
         g = synthetic_graph(15, n_relations=5, facts_per_class=3, contention=0.4,
                             with_chains=True, seed=3)
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(g)
         for i in range(15):
             extend_subgraph(sub, [class_name(i)], g, 3)
         all_paths = [(a, p) for a in sub.assignments.values() for p in a.paths]

@@ -25,7 +25,7 @@ from kgcil.simulate import _FILLER_BETWEEN_P, _uniforms
 
 @pytest.fixture
 def fruit_sub(fruit_graph):
-    sub = TaskSubgraph()
+    sub = TaskSubgraph(fruit_graph)
     extend_subgraph(sub, ["granny_smith", "pineapple"], fruit_graph, 2)
     return sub
 
@@ -93,7 +93,7 @@ class TestConfusables:
                 assert a in confs[b]
 
     def test_no_shared_tails(self, reef_graph):
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(reef_graph)
         extend_subgraph(sub, ["anemonefish"], reef_graph, 1)
         confs = build_confusables(sub, reef_graph)
         assert confs == {"anemonefish": []}
@@ -183,7 +183,7 @@ class TestCorrupted:
         assert not got & own_pairs
 
     def test_swap_without_confusables_is_noop(self, reef_graph):
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(reef_graph)
         extend_subgraph(sub, ["anemonefish"], reef_graph, 1)
         gen = TextGenerator(reef_graph, sub, GeneratorConfig(p_swap=1.0, filler=False))
         cid = reef_graph.entity_id("anemonefish")
@@ -205,7 +205,7 @@ class TestCorrupted:
     def test_drop_pattern_enumeration(self, fruit_graph):
         """With three clauses and p_drop=0.5, 7 of 8 equally likely patterns
         leave at least one clause standing."""
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(fruit_graph)
         extend_subgraph(sub, ["pineapple"], fruit_graph, 3)
         cid = fruit_graph.entity_id("pineapple")
         assert len(sub.assignments[cid].paths) == 3

@@ -33,7 +33,7 @@ def grant_names(sub, graph, cname):
 class TestExtend:
     def test_two_session_allocation(self, fruit_graph):
         g = fruit_graph
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(g)
         _, rep1 = extend_subgraph(sub, ["granny_smith"], g, 2)
         assert grant_names(sub, g, "granny_smith") == [("IsA", "fruit"), ("ReceiveAction", "eaten")]
         assert not rep1.grants[0].fallback_used
@@ -45,7 +45,7 @@ class TestExtend:
 
     def test_two_hop_fallback(self, reef_graph):
         g = reef_graph
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(g)
         extend_subgraph(sub, ["anemonefish"], g, 1)
         _, rep = extend_subgraph(sub, ["clownfish"], g, 1)
         assert grant_names(sub, g, "clownfish") == [("RelatedTo_RelatedTo", "river")]
@@ -53,14 +53,14 @@ class TestExtend:
 
     def test_no_facts_means_shortfall(self, fruit_graph):
         # "eaten" exists only as a tail: no direct facts, no chains
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(fruit_graph)
         _, rep = extend_subgraph(sub, ["eaten"], fruit_graph, 2)
         assert rep.shortfall == ["eaten"]
         assert rep.grants[0].granted == 0
         assert sub.assignments[fruit_graph.entity_id("eaten")].paths == []
 
     def test_unknown_class_collected(self, fruit_graph):
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(fruit_graph)
         _, rep = extend_subgraph(sub, ["warp_drive", "pineapple"], fruit_graph, 1)
         assert rep.unknown == ["warp_drive"]
         assert rep.shortfall == ["warp_drive"]
@@ -69,24 +69,30 @@ class TestExtend:
         assert rep.grants[1].granted == 1
 
     def test_reassignment_rejected(self, fruit_graph):
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(fruit_graph)
         extend_subgraph(sub, ["pineapple"], fruit_graph, 1)
         with pytest.raises(ValueError, match="already assigned"):
             extend_subgraph(sub, ["pineapple"], fruit_graph, 1)
 
     def test_bad_r_target(self, fruit_graph):
         with pytest.raises(ValueError):
-            extend_subgraph(TaskSubgraph(), ["pineapple"], fruit_graph, 0)
+            extend_subgraph(TaskSubgraph(fruit_graph), ["pineapple"], fruit_graph, 0)
+
+    def test_other_graph_rejected(self, fruit_graph, reef_graph):
+        sub = TaskSubgraph(fruit_graph)
+        with pytest.raises(ValueError, match="different graph"):
+            extend_subgraph(sub, ["anemonefish"], reef_graph, 1)
+        assert not sub.assignments and sub.tasks == 0
 
     def test_sufficiency_bound(self, fruit_graph):
         # enough unused direct facts -> fallback never engages
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(fruit_graph)
         _, rep = extend_subgraph(sub, ["granny_smith"], fruit_graph, 3)
         assert rep.grants[0].granted == 3
         assert not rep.grants[0].fallback_used
 
     def test_monotonicity(self, fruit_graph):
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(fruit_graph)
         extend_subgraph(sub, ["granny_smith"], fruit_graph, 2)
         before = copy.deepcopy(sub.assignments)
         extend_subgraph(sub, ["pineapple"], fruit_graph, 2)
@@ -98,7 +104,7 @@ class TestExtend:
 class TestClassOfPair:
     def test_lookup(self, fruit_graph):
         g = fruit_graph
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(g)
         extend_subgraph(sub, ["granny_smith"], g, 2)
         isa = g.relation_id("IsA")
         key = ((isa,), g.entity_id("fruit"))
@@ -108,7 +114,7 @@ class TestClassOfPair:
         assert ((isa,), g.entity_id("pizza")) not in sub.pair_to_class
 
     def test_empty_subgraph(self, fruit_graph):
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(fruit_graph)
         assert ((0,), 1) not in sub.pair_to_class
         assert not sub.assignments
 
@@ -124,7 +130,7 @@ class TestExport:
     )
 
     def build(self, g):
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(g)
         extend_subgraph(sub, ["granny_smith"], g, 2)
         extend_subgraph(sub, ["pineapple"], g, 2)
         return sub
@@ -137,9 +143,9 @@ class TestExport:
         assert stats.bytes == len(self.GOLDEN.encode())
         assert stats.classes == 2 and stats.paths == 4
 
-    def test_empty_subgraph_header_only(self, tmp_path):
+    def test_empty_subgraph_header_only(self, fruit_graph, tmp_path):
         out = tmp_path / "empty.tsv"
-        stats = export_subgraph(TaskSubgraph(), out)
+        stats = export_subgraph(TaskSubgraph(fruit_graph), out)
         assert out.read_text(encoding="utf-8") == "# kgcil-subgraph v1\ntask\tclass\trelation\ttail\n"
         assert stats.classes == 0 and stats.paths == 0
 
@@ -154,7 +160,7 @@ class TestExport:
         assert render_export(back) == render_export(sub)
 
     def test_roundtrip_with_two_hop(self, reef_graph, tmp_path):
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(reef_graph)
         extend_subgraph(sub, ["anemonefish"], reef_graph, 1)
         extend_subgraph(sub, ["clownfish"], reef_graph, 1)
         out = tmp_path / "reef.tsv"
@@ -190,7 +196,7 @@ class TestInvariantsRandomized:
                                 contention=0.5, with_chains=True, seed=trial)
             names = [class_name(i) for i in range(n)]
             order = rng.permutation(n)
-            sub = TaskSubgraph()
+            sub = TaskSubgraph(g)
             pos = 0
             while pos < n:
                 size = int(rng.integers(1, 6))
@@ -214,7 +220,7 @@ class TestInvariantsRandomized:
         names = [class_name(i) for i in range(12)]
         exports = []
         for _ in range(2):
-            sub = TaskSubgraph()
+            sub = TaskSubgraph(g)
             extend_subgraph(sub, names[:6], g, 3)
             extend_subgraph(sub, names[6:], g, 3)
             exports.append(render_export(sub))
@@ -234,7 +240,7 @@ class TestTextExclusivity:
         # (Made, Of) renders as Made_Of, which parses as the single relation bee owns
         g = KnowledgeGraph.from_facts([("bee", "Made_Of", "x"), ("zed", "Made", "m"),
                                        ("m", "Of", "x")])
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(g)
         extend_subgraph(sub, ["bee"], g, 2)
         _, report = extend_subgraph(sub, ["zed"], g, 2)
         assert grant_names(sub, g, "zed") == [("Made", "m")]
@@ -247,7 +253,7 @@ class TestTextExclusivity:
         # isa parses case-folded to IsA, the first of the two ids
         g = KnowledgeGraph.from_facts([("c1", "IsA", "fruit"), ("c2", "isa", "veg"),
                                        ("c2", "Color", "green")])
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(g)
         extend_subgraph(sub, ["c1", "c2"], g, 1)
         assert grant_names(sub, g, "c2") == [("Color", "green")]
         tally, head = read_back(sub, g, "c2")
@@ -259,7 +265,7 @@ class TestTextExclusivity:
         # `c0 IsA of.` opens a second capture at `of`; `c2 IsA a.` drops the article
         g = KnowledgeGraph.from_facts([("c0", "IsA", "of"), ("c1", "Of", "x"),
                                        ("c2", "IsA", "a"), ("c2", "Color", "red")])
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(g)
         _, report = extend_subgraph(sub, ["c0", "c1", "c2"], g, 1)
         assert grant_names(sub, g, "c0") == []
         assert grant_names(sub, g, "c1") == [("Of", "x")]
@@ -273,7 +279,7 @@ class TestTextExclusivity:
         # token of the name that opens a capture is refused, a pair too
         g = KnowledgeGraph.from_facts([("isa-red", "IsA", "fruit"), ("c1", "IsA", "red"),
                                        ("isa_color", "IsA", "veg"), ("c2", "Color", "red")])
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(g)
         _, report = extend_subgraph(sub, ["isa-red", "c1", "isa_color"], g, 1)
         assert grant_names(sub, g, "isa-red") == []
         assert grant_names(sub, g, "isa_color") == []
@@ -286,7 +292,7 @@ class TestTextExclusivity:
         # a relation or tail holding a character outside [A-Za-z0-9_] renders as several tokens
         g = KnowledgeGraph.from_facts([("c0", "Is-A", "fruit"), ("c0", "IsA", "x-y"),
                                        ("c0", "IsA", "caf\u00e9"), ("c0", "IsA", "pome")])
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(g)
         extend_subgraph(sub, ["c0"], g, 4)
         assert grant_names(sub, g, "c0") == [("IsA", "pome")]
 
@@ -321,7 +327,7 @@ def colliding_graphs(draw):
 @given(colliding_graphs())
 def test_granted_paths_read_back_to_their_class(tmp_path_factory, case):
     graph, classes, r = case
-    sub = TaskSubgraph()
+    sub = TaskSubgraph(graph)
     for i in range(0, len(classes), 3):
         extend_subgraph(sub, classes[i:i + 3], graph, r)
     for cid, a in sub.assignments.items():

@@ -30,7 +30,7 @@ def parsed_names(graph, triplets):
 
 @pytest.fixture
 def fruit_sub(fruit_graph):
-    sub = TaskSubgraph()
+    sub = TaskSubgraph(fruit_graph)
     extend_subgraph(sub, ["granny_smith"], fruit_graph, 2)
     extend_subgraph(sub, ["pineapple"], fruit_graph, 2)
     return sub
@@ -44,7 +44,7 @@ class TestRender:
         )
 
     def test_two_hop_clause(self, reef_graph):
-        sub = TaskSubgraph()
+        sub = TaskSubgraph(reef_graph)
         extend_subgraph(sub, ["anemonefish"], reef_graph, 1)
         extend_subgraph(sub, ["clownfish"], reef_graph, 1)
         a = sub.assignments[reef_graph.entity_id("clownfish")]
@@ -141,7 +141,7 @@ def assignments(draw):
         seed=draw(st.integers(min_value=0, max_value=50)),
     )
     r = draw(st.integers(min_value=1, max_value=4))
-    sub = TaskSubgraph()
+    sub = TaskSubgraph(graph)
     for i in range(n):
         extend_subgraph(sub, [class_name(i)], graph, r)
     return graph, sub
