@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from kgcil import TaskSchedule
 from kgcil.cli import EXIT_INPUT, EXIT_OK, main, parse_classes_file
 from kgcil.synthetic import class_name, synthetic_facts, write_tsv
 
@@ -187,6 +188,41 @@ class TestRun:
         code, out, _ = run_cli(capsys, "run", str(cfg))
         assert code == EXIT_OK
         assert json.loads(out)["summary"]["last"]["mean"] == 1.0
+
+    # kind -> (the kind's config keys, the same schedule built with TaskSchedule's defaults)
+    SCHEDULES = {
+        "b0": ({"n_tasks": 3}, lambda c: TaskSchedule.b0(c, 3, samples_per_class=2)),
+        "b100": ({"base_size": 6, "n_incremental": 3},
+                 lambda c: TaskSchedule.b100(c, 6, 3, samples_per_class=2)),
+        "fewshot": ({"base_size": 2}, lambda c: TaskSchedule.fewshot(c, 2, samples_per_class=2)),
+    }
+
+    @pytest.mark.parametrize("source", ["classes", "classes_file"])
+    @pytest.mark.parametrize("kind", sorted(SCHEDULES))
+    def test_schedule_echo_per_kind(self, capsys, synth_tsv, tmp_path, kind, source):
+        classes = [class_name(i) for i in range(12)]
+        keys, expected = self.SCHEDULES[kind]
+        schedule = {"kind": kind, **keys, "samples_per_class": 2}
+        if source == "classes":
+            schedule["classes"] = classes
+        else:
+            listing = tmp_path / "classes.txt"
+            listing.write_text("\n".join(classes[:6]) + "\n\n" + "\n".join(classes[6:]) + "\n")
+            schedule["classes_file"] = str(listing)
+        cfg = self.write_config(tmp_path, synth_tsv, schedule=schedule, orders=[0])
+        code, out, _ = run_cli(capsys, "run", str(cfg))
+        assert code == EXIT_OK
+        metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+        assert metrics["config"]["schedule"] == expected(classes).to_dict()
+        assert json.loads(out)["config"]["schedule"] == expected(classes).to_dict()
+
+    def test_unfillable_schedule_is_input_error(self, capsys, synth_tsv, tmp_path):
+        cfg = self.write_config(tmp_path, synth_tsv, schedule={
+            "kind": "b0", "classes": [class_name(i) for i in range(12)], "n_tasks": 13})
+        code, out, err = run_cli(capsys, "run", str(cfg))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "n_tasks" in err
 
     def test_deprecated_shot_is_ignored(self, capsys, synth_tsv, tmp_path):
         cfg = self.write_config(
