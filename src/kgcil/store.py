@@ -2,7 +2,9 @@
 
 Facts are loaded once (from TSV or from an in-memory triple list) and the graph
 is immutable afterwards. Both sources feed one column-wise ingestion core, so
-loading makes no Python object per fact. Every query is answered from
+loading makes no Python object per fact, nor one per name: the names stay in
+the array interning produced, and a name is looked up through a sorted array
+of 64-bit keys built from the same bytes. Every query is answered from
 sorted-array indexes via binary search, so lookups never scan the fact table.
 """
 
@@ -80,44 +82,59 @@ def _keyword(table: "NameTable", token: str) -> tuple[int, ...]:
     return table.resolve(token, fold=True) or ()
 
 
-class NameTable:
-    """Immutable dense id <-> name bijection; ids are positions in the name list."""
+def _find(table: "NameTable", name: str) -> int | None:
+    raw = name.encode("utf-8", "surrogatepass")
+    row = np.frombuffer(raw.ljust(int(_row_width(len(raw))), b"\xff"), np.uint8)
+    key = _row_keys(row[None])[0]
+    # names that share a key sit side by side; the name itself tells them apart
+    for idx in table._order[table._keys.searchsorted(key):table._keys.searchsorted(key, "right")]:
+        if table._names.item(idx) == name:
+            return int(idx)
+    return None
 
-    def __init__(self):
-        self._names: list[str] = []
-        self._ids: dict[str, int] = {}
+
+class NameTable:
+    """Immutable dense id <-> name bijection; ids are positions in the name array.
+
+    get(name) binary-searches the sorted keys (_row_keys) for the name's key and
+    compares the names that hold it. It is memoised: a repeated name is one dict probe.
+    """
+
+    def __init__(self, names: np.ndarray, keys: np.ndarray):
+        """names: a str or object array of distinct names; keys: their _row_keys."""
+        self._names = names
+        self._order = np.argsort(keys)
+        self._keys = keys[self._order]
         self._lower: dict[str, int] | None = None
         self._memos: dict = {}
+        self._get = self.memo(_find)
 
     @classmethod
     def from_names(cls, names: list[str]) -> "NameTable":
         """A table whose ids are the positions in names, which must be distinct."""
-        table = cls()
-        table._names = names
-        table._ids = dict(zip(names, range(len(names))))
-        return table
+        return cls(np.array(names, dtype=object), _name_keys(names))
 
     def get(self, name: str) -> int | None:
-        return self._ids.get(name)
+        return self._get[name]
 
     def name(self, idx: int) -> str:
-        return self._names[idx]
+        return self._names.item(idx)
 
     def names(self) -> list[str]:
-        return list(self._names)
+        return self._names.tolist()
 
     def lower_index(self) -> dict[str, int]:
         """Case-folded name -> id; the first id wins on case collisions."""
         if self._lower is None:
             low: dict[str, int] = {}
-            for idx, name in enumerate(self._names):
+            for idx, name in enumerate(self.names()):
                 low.setdefault(name.lower(), idx)
             self._lower = low
         return self._lower
 
     def label(self, ids) -> str:
         """'Rel' or 'Rel1_Rel2', a path's text; resolve reads it back unless names collide."""
-        return "_".join(self._names[i] for i in ids)
+        return "_".join(map(self.name, ids))
 
     def resolve(self, label: str, fold: bool = False) -> tuple[int, ...] | None:
         """Ids named by 'Rel' or 'Rel1_Rel2'; None when the label names neither.
@@ -126,7 +143,7 @@ class NameTable:
         '_' split wins. fold=True matches case-insensitively through
         lower_index(); otherwise names must match exactly.
         """
-        index = self.lower_index() if fold else self._ids
+        index = self.lower_index() if fold else self
         if fold:
             label = label.lower()
         rid = index.get(label)
@@ -282,6 +299,8 @@ def load_graph(path) -> KnowledgeGraph:
 # from widening every row.
 
 _PAD = 0xFF
+# _PAD_MASKS[k] ORed into a word keeps its first k bytes and pads the rest
+_PAD_MASKS = np.triu(np.full((9, 8), _PAD, np.uint8)).view(np.uint64).ravel()
 
 # byte values normalization leaves as they are: printable ASCII other than
 # space, and for entity names no uppercase
@@ -310,10 +329,30 @@ def _byte_column(data: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list
         block_lens = lens[at]
         width = int(_row_width(block_lens.max(initial=0)))
         rows = np.lib.stride_tricks.sliding_window_view(data, width)[starts[at]]
-        for j in range(width - 8, width):  # only the last 8 bytes of a row can be padding
-            rows[block_lens <= j, j] = _PAD
+        # only the last word of a row can hold padding
+        rows[:, width - 8:].view(np.uint64)[:, 0] |= _PAD_MASKS[block_lens - (width - 8)]
         column.append((at, rows))
     return column
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One 64-bit key per row of a block, its words folded by multiply-add.
+
+    A one-word row is its own key, so only names over 8 bytes can share one.
+    """
+    words = rows.view(np.uint64)
+    keys = words[:, 0].copy()
+    for word in words.T[1:]:
+        keys *= 0x9E3779B97F4A7C15  # odd, so no bit of the key so far is lost
+        keys += word
+    return keys
+
+
+def _name_keys(names: list[str]) -> np.ndarray:
+    keys = np.empty(len(names), np.uint64)
+    for at, rows in _name_column(names):
+        keys[at] = _row_keys(rows)
+    return keys
 
 
 def _name_column(names: list[str]) -> list:
@@ -409,10 +448,12 @@ def _intern_column(column: list, size: int, normalize, plain: np.ndarray):
     Equal rows of a block are grouped with integer sorts; only names with a
     byte outside plain are decoded and normalized in Python, and names that
     then coincide are merged. Returns (id of each of the size names, array
-    of the name of each id); ids follow no particular order.
+    of the name of each id, array of the _row_keys of each id's name); ids
+    follow no particular order.
     """
     parts = []
     names = []
+    keys = []
     normalized = False
     for at, rows in column:
         words = rows.view(np.uint64)
@@ -425,6 +466,7 @@ def _intern_column(column: list, size: int, normalize, plain: np.ndarray):
         parts.append((at, row_ids))
         del words, key, row_ids
         urows = rows[first]
+        keys.append(_row_keys(urows))
         live = urows != _PAD
         odd = (live & ~plain[urows]).any(axis=1)
         urows[~live] = 0
@@ -432,8 +474,10 @@ def _intern_column(column: list, size: int, normalize, plain: np.ndarray):
         if odd.any():
             block = block.astype(object)  # a str array would drop trailing NULs
             lens = live.sum(axis=1)
-            for i in np.flatnonzero(odd).tolist():
+            odd = np.flatnonzero(odd)
+            for i in odd.tolist():
                 block[i] = normalize(urows[i, :lens[i]].tobytes().decode("utf-8", "surrogatepass"))
+            keys[-1][odd] = _name_keys(block[odd].tolist())
             normalized = True
         names.append(block)
     if len(parts) == 1:
@@ -443,24 +487,26 @@ def _intern_column(column: list, size: int, normalize, plain: np.ndarray):
         for at, row_ids in parts:
             ids[at] = row_ids
     del parts
-    # one block keeps its fixed-width str array; str objects are made once
-    # the ids are final, in _first_seen
+    # one block keeps its fixed-width str array, so no str object is made per name
     names = names[0] if len(names) == 1 else np.concatenate([b.astype(object) for b in names])
+    keys = np.concatenate(keys)
     if not normalized:
-        return ids, names
+        return ids, names, keys
     index: dict[str, int] = {}
     merged = np.array([index.setdefault(name, len(index)) for name in names], np.int64)
-    return merged[ids], np.array(list(index), dtype=object)
+    merged_keys = np.empty(len(index), np.uint64)
+    merged_keys[merged] = keys  # names merged into one had one key already
+    return merged[ids], np.array(list(index), dtype=object), merged_keys
 
 
-def _first_seen(ids: np.ndarray, names: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """Renumber ids in order of first occurrence; names no id uses are dropped."""
+def _first_seen(ids: np.ndarray, names: np.ndarray, keys: np.ndarray):
+    """Ids renumbered in order of first occurrence, and the NameTable of the names used."""
     first = np.full(len(names), len(ids), np.int64)
     np.minimum.at(first, ids, np.arange(len(ids)))
     used = np.argsort(first)[:np.count_nonzero(first < len(ids))]
     rank = np.empty(len(names), np.int64)
     rank[used] = np.arange(len(used))
-    return rank[ids], names[used].tolist()
+    return rank[ids], NameTable(names[used], keys[used])
 
 
 def _ingest(columns: list, malformed) -> KnowledgeGraph:
@@ -476,9 +522,9 @@ def _ingest(columns: list, malformed) -> KnowledgeGraph:
     entities, relations = columns
     columns.clear()
     n = sum(len(rows) for _, rows in relations)
-    ent, ent_names = _intern_column(entities, 2 * n, normalize_name, _ENTITY_BYTES)
+    ent, ent_names, ent_keys = _intern_column(entities, 2 * n, normalize_name, _ENTITY_BYTES)
     del entities
-    rel, rel_names = _intern_column(relations, n, normalize_relation, _RELATION_BYTES)
+    rel, rel_names, rel_keys = _intern_column(relations, n, normalize_relation, _RELATION_BYTES)
     del relations
     head, tail = ent[:n], ent[n:]
     bad = np.zeros(n, bool)
@@ -495,9 +541,10 @@ def _ingest(columns: list, malformed) -> KnowledgeGraph:
     del head, tail, keep, bad
     if not kept:
         raise EmptyGraph("no facts survived loading")
-    ent, ent_names = _first_seen(ent, ent_names)
-    rel, rel_names = _first_seen(rel, rel_names)
-    ne, nr = len(ent_names), len(rel_names)
+    ent, entities = _first_seen(ent, ent_names, ent_keys)
+    rel, relations = _first_seen(rel, rel_names, rel_keys)
+    del ent_names, ent_keys, rel_names, rel_keys
+    ne, nr = len(entities), len(relations)
     if ne * nr * ne >= 2 ** 63:
         raise OverflowError("graph too large for packed int64 keys")
     # the packed key preserves (head, relation, tail) order, so one sort both
@@ -520,5 +567,4 @@ def _ingest(columns: list, malformed) -> KnowledgeGraph:
         self_loops_dropped=n - kept,
     )
     del packed
-    return KnowledgeGraph(NameTable.from_names(ent_names), NameTable.from_names(rel_names),
-                          head, rel, tail, stats)
+    return KnowledgeGraph(entities, relations, head, rel, tail, stats)

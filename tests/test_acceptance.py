@@ -328,6 +328,11 @@ def test_criterion_8_performance(big_graph):
     assert stats["entities"] == 574_270
     assert stats["relations"] == 50
     assert stats["facts"] == 1_380_131
+    for name in large_class_names(200):
+        assert g.entity_name(g.entity_id(name)) == name
+    for cid in np.random.default_rng(8).integers(0, stats["entities"], size=1000).tolist():
+        assert g.entity_id(g.entity_name(cid)) == cid
+    assert g.entity_id(f"e{stats['entities']}") is None
 
     rng = np.random.default_rng(5)
     pairs = []

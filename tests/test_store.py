@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgcil import EmptyGraph, KnowledgeGraph, LoadStats, MalformedLine, load_graph, normalize_name
+from kgcil import EmptyGraph, KnowledgeGraph, LoadStats, MalformedLine, load_graph, normalize_name, store
 from kgcil.synthetic import large_graph_tsv, synthetic_facts
 from conftest import FRUIT_FACTS, REEF_FACTS, write_tsv
 
@@ -232,9 +232,22 @@ def ref_load(path):
             *(a.tolist() for a in (h, r, t, pair_key[order], h[order])))
 
 
+def assert_reads_back(table):
+    """get inverts name, and a name the table lacks reads back as None."""
+    names = table.names()
+    ids = {name: i for i, name in enumerate(names)}
+    assert len(ids) == len(names)
+    for i, name in enumerate(names):
+        assert type(table.name(i)) is str and table.name(i) == name
+        for probe in (name, name + "\x00", name + "x", ""):
+            assert table.get(probe) == ids.get(probe), probe
+
+
 def graph_state(g):
     arrays = (g._h, g._r, g._t, g._pair_keys, g._pair_heads)
     assert all(a.dtype == np.int64 for a in arrays)
+    assert_reads_back(g.entities)
+    assert_reads_back(g.relations)
     return (g.stats, g.entities.names(), g.relations.names(), *(a.tolist() for a in arrays))
 
 
@@ -301,6 +314,9 @@ def tsv_texts(draw):
 @example("A\x00\tR\ta\na\tR\tA\n")  # a trailing NUL keeps names apart
 @example("long_name_of_entity_1\tR\tlong_name_of_entity_2\nLONG_NAME_OF_ENTITY_1\tR R\tx\n")
 @example("a\tR\t" + "é" * 300 + "\nb\tR\ta\n" + "É" * 300 + "\tR\tb\n")  # one row far wider than the rest
+@example("abcdefg\tRelatio\tabcdefgh\nabcdefghi\tRelation\t" + "a" * 15 + "\n"
+         + "b" * 16 + "\tRelation9\t" + "c" * 17 + "\n")  # names of 7, 8, 9, 15, 16 and 17 bytes
+@example("abcdefgé\tR\tabcdefg\nABCDEFGÉ\tRelatioé\t" + "d" * 15 + "é\n")  # é crosses a word boundary
 def test_loader_matches_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("tsv") / "g.tsv"
     path.write_bytes(text.encode("utf-8"))
@@ -315,6 +331,16 @@ def test_loader_matches_reference_on_fixture_graphs(tmp_path, fruit_tsv):
     large_graph_tsv(tmp_path / "large.tsv", n_entities=3000, n_relations=7, n_facts=9000, n_classes=20, seed=1)
     stats = assert_parity(tmp_path / "large.tsv")[0]
     assert (stats.entities, stats.relations, stats.facts) == (3000, 7, 9000)
+
+
+def test_names_sharing_a_key_read_back(tmp_path, monkeypatch):
+    # one key for every name, so each lookup walks a run of equal keys
+    monkeypatch.setattr(store, "_row_keys", lambda rows: np.zeros(len(rows), np.uint64))
+    facts = FRUIT_FACTS + [("Granny Smith", "IsA", "apple"), ("long_name_of_entity_1", "Is A", "é")]
+    g = KnowledgeGraph.from_facts(facts)
+    assert not g.entities._keys.any()
+    assert_parity(write_tsv(tmp_path / "fruit.tsv", facts))
+    assert graph_state(load_graph(tmp_path / "fruit.tsv")) == graph_state(g)
 
 
 @pytest.mark.parametrize("first_line", ["# fruit\n", ""])
