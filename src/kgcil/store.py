@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import codecs
 import re
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -83,13 +84,12 @@ def _keyword(table: "NameTable", token: str) -> tuple[int, ...]:
 
 
 def _find(table: "NameTable", name: str) -> int | None:
-    raw = name.encode("utf-8", "surrogatepass")
-    row = np.frombuffer(raw.ljust(int(_row_width(len(raw))), b"\xff"), np.uint8)
-    key = _row_keys(row[None])[0]
-    # names that share a key sit side by side; the name itself tells them apart
-    for idx in table._order[table._keys.searchsorted(key):table._keys.searchsorted(key, "right")]:
-        if table._names.item(idx) == name:
-            return int(idx)
+    key, keys = _key(name), table._keys
+    pos = bisect_left(keys, key)
+    while pos < len(keys) and keys[pos] == key:
+        if table._names.item(idx := table._order[pos]) == name:
+            return idx
+        pos += 1
     return None
 
 
@@ -97,14 +97,14 @@ class NameTable:
     """Immutable dense id <-> name bijection; ids are positions in the name array.
 
     get(name) binary-searches the sorted keys (_row_keys) for the name's key and
-    compares the names that hold it. It is memoised: a repeated name is one dict probe.
+    compares the names that share it. Memoised: a repeated name is one dict probe.
     """
 
     def __init__(self, names: np.ndarray, keys: np.ndarray):
         """names: a str or object array of distinct names; keys: their _row_keys."""
         self._names = names
-        self._order = np.argsort(keys)
-        self._keys = keys[self._order]
+        order = np.argsort(keys)
+        self._keys, self._order = memoryview(keys[order]), memoryview(order)  # bisect reads ints
         self._lower: dict[str, int] | None = None
         self._memos: dict = {}
         self._get = self.memo(_find)
@@ -112,7 +112,7 @@ class NameTable:
     @classmethod
     def from_names(cls, names: list[str]) -> "NameTable":
         """A table whose ids are the positions in names, which must be distinct."""
-        return cls(np.array(names, dtype=object), _name_keys(names))
+        return cls(np.array(names, dtype=object), np.fromiter(map(_key, names), np.uint64))
 
     def get(self, name: str) -> int | None:
         return self._get[name]
@@ -299,6 +299,7 @@ def load_graph(path) -> KnowledgeGraph:
 # from widening every row.
 
 _PAD = 0xFF
+_MIX = 0x9E3779B97F4A7C15  # odd, so multiplying by it loses no bit of a key
 # _PAD_MASKS[k] ORed into a word keeps its first k bytes and pads the rest
 _PAD_MASKS = np.triu(np.full((9, 8), _PAD, np.uint8)).view(np.uint64).ravel()
 
@@ -336,23 +337,22 @@ def _byte_column(data: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One 64-bit key per row of a block, its words folded by multiply-add.
-
-    A one-word row is its own key, so only names over 8 bytes can share one.
-    """
+    """One 64-bit key per row: its words folded by multiply-add; a one-word row is its own key."""
     words = rows.view(np.uint64)
     keys = words[:, 0].copy()
     for word in words.T[1:]:
-        keys *= 0x9E3779B97F4A7C15  # odd, so no bit of the key so far is lost
+        keys *= _MIX
         keys += word
     return keys
 
 
-def _name_keys(names: list[str]) -> np.ndarray:
-    keys = np.empty(len(names), np.uint64)
-    for at, rows in _name_column(names):
-        keys[at] = _row_keys(rows)
-    return keys
+def _key(name: str) -> int:
+    """_row_keys of one name's row, in Python; one lookup cannot pay NumPy's call cost."""
+    raw = name.encode("utf-8", "surrogatepass")
+    key, width = 0, len(raw) + 7 & ~7 or 8  # _row_width(len(raw))
+    for word in memoryview(raw.ljust(width, b"\xff")).cast("Q"):
+        key = (key * _MIX + word) & 0xFFFFFFFFFFFFFFFF
+    return key
 
 
 def _name_column(names: list[str]) -> list:
@@ -447,9 +447,9 @@ def _intern_column(column: list, size: int, normalize, plain: np.ndarray):
 
     Equal rows of a block are grouped with integer sorts; only names with a
     byte outside plain are decoded and normalized in Python, and names that
-    then coincide are merged. Returns (id of each of the size names, array
-    of the name of each id, array of the _row_keys of each id's name); ids
-    follow no particular order.
+    then coincide are merged. Returns (id of each of the size names, (array
+    of the name of each id, array of their _row_keys)); ids follow no
+    particular order.
     """
     parts = []
     names = []
@@ -477,7 +477,7 @@ def _intern_column(column: list, size: int, normalize, plain: np.ndarray):
             odd = np.flatnonzero(odd)
             for i in odd.tolist():
                 block[i] = normalize(urows[i, :lens[i]].tobytes().decode("utf-8", "surrogatepass"))
-            keys[-1][odd] = _name_keys(block[odd].tolist())
+            keys[-1][odd] = np.fromiter(map(_key, block[odd]), np.uint64)
             normalized = True
         names.append(block)
     if len(parts) == 1:
@@ -491,12 +491,12 @@ def _intern_column(column: list, size: int, normalize, plain: np.ndarray):
     names = names[0] if len(names) == 1 else np.concatenate([b.astype(object) for b in names])
     keys = np.concatenate(keys)
     if not normalized:
-        return ids, names, keys
+        return ids, (names, keys)
     index: dict[str, int] = {}
     merged = np.array([index.setdefault(name, len(index)) for name in names], np.int64)
     merged_keys = np.empty(len(index), np.uint64)
     merged_keys[merged] = keys  # names merged into one had one key already
-    return merged[ids], np.array(list(index), dtype=object), merged_keys
+    return merged[ids], (np.array(list(index), dtype=object), merged_keys)
 
 
 def _first_seen(ids: np.ndarray, names: np.ndarray, keys: np.ndarray):
@@ -522,15 +522,15 @@ def _ingest(columns: list, malformed) -> KnowledgeGraph:
     entities, relations = columns
     columns.clear()
     n = sum(len(rows) for _, rows in relations)
-    ent, ent_names, ent_keys = _intern_column(entities, 2 * n, normalize_name, _ENTITY_BYTES)
+    ent, ent_names = _intern_column(entities, 2 * n, normalize_name, _ENTITY_BYTES)
     del entities
-    rel, rel_names, rel_keys = _intern_column(relations, n, normalize_relation, _RELATION_BYTES)
+    rel, rel_names = _intern_column(relations, n, normalize_relation, _RELATION_BYTES)
     del relations
     head, tail = ent[:n], ent[n:]
     bad = np.zeros(n, bool)
-    for empty in np.flatnonzero(ent_names == "").tolist():
+    for empty in np.flatnonzero(ent_names[0] == "").tolist():
         bad |= (head == empty) | (tail == empty)
-    for empty in np.flatnonzero(rel_names == "").tolist():
+    for empty in np.flatnonzero(rel_names[0] == "").tolist():
         bad |= rel == empty
     if bad.any():
         raise malformed(int(bad.argmax()))
@@ -541,10 +541,9 @@ def _ingest(columns: list, malformed) -> KnowledgeGraph:
     del head, tail, keep, bad
     if not kept:
         raise EmptyGraph("no facts survived loading")
-    ent, entities = _first_seen(ent, ent_names, ent_keys)
-    rel, relations = _first_seen(rel, rel_names, rel_keys)
-    del ent_names, ent_keys, rel_names, rel_keys
-    ne, nr = len(entities), len(relations)
+    ent, ent_names = _first_seen(ent, *ent_names)
+    rel, rel_names = _first_seen(rel, *rel_names)
+    ne, nr = len(ent_names), len(rel_names)
     if ne * nr * ne >= 2 ** 63:
         raise OverflowError("graph too large for packed int64 keys")
     # the packed key preserves (head, relation, tail) order, so one sort both
@@ -567,4 +566,4 @@ def _ingest(columns: list, malformed) -> KnowledgeGraph:
         self_loops_dropped=n - kept,
     )
     del packed
-    return KnowledgeGraph(entities, relations, head, rel, tail, stats)
+    return KnowledgeGraph(ent_names, rel_names, head, rel, tail, stats)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgcil import EmptyGraph, KnowledgeGraph, LoadStats, MalformedLine, load_graph, normalize_name, store
+from kgcil import (EmptyGraph, KnowledgeGraph, LoadStats, MalformedLine, load_graph,
+                   normalize_name, store)
 from kgcil.synthetic import large_graph_tsv, synthetic_facts
 from conftest import FRUIT_FACTS, REEF_FACTS, write_tsv
 
@@ -316,7 +317,7 @@ def tsv_texts(draw):
 @example("a\tR\t" + "é" * 300 + "\nb\tR\ta\n" + "É" * 300 + "\tR\tb\n")  # one row far wider than the rest
 @example("abcdefg\tRelatio\tabcdefgh\nabcdefghi\tRelation\t" + "a" * 15 + "\n"
          + "b" * 16 + "\tRelation9\t" + "c" * 17 + "\n")  # names of 7, 8, 9, 15, 16 and 17 bytes
-@example("abcdefgé\tR\tabcdefg\nABCDEFGÉ\tRelatioé\t" + "d" * 15 + "é\n")  # é crosses a word boundary
+@example("abcdefgé\tR\tabcdefg\nABCDEFGÉ\tRelatioé\t" + "d" * 15 + "é\n")  # é across a word edge
 def test_loader_matches_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("tsv") / "g.tsv"
     path.write_bytes(text.encode("utf-8"))
@@ -336,9 +337,11 @@ def test_loader_matches_reference_on_fixture_graphs(tmp_path, fruit_tsv):
 def test_names_sharing_a_key_read_back(tmp_path, monkeypatch):
     # one key for every name, so each lookup walks a run of equal keys
     monkeypatch.setattr(store, "_row_keys", lambda rows: np.zeros(len(rows), np.uint64))
-    facts = FRUIT_FACTS + [("Granny Smith", "IsA", "apple"), ("long_name_of_entity_1", "Is A", "é")]
+    monkeypatch.setattr(store, "_key", lambda name: 0)
+    facts = FRUIT_FACTS + [("Granny Smith", "IsA", "apple"),
+                           ("long_name_of_entity_1", "Is A", "é")]
     g = KnowledgeGraph.from_facts(facts)
-    assert not g.entities._keys.any()
+    assert not any(g.entities._keys)
     assert_parity(write_tsv(tmp_path / "fruit.tsv", facts))
     assert graph_state(load_graph(tmp_path / "fruit.tsv")) == graph_state(g)
 
