@@ -35,7 +35,7 @@ def main():
     print(" ", INSTRUCTION_PROMPT)
 
     cid = graph.entity_id("pineapple")
-    text = render_training_text(sub.assignments[cid], graph).text
+    text = render_training_text(sub.assignments[cid], graph)
     print("\nrendered training text for pineapple:")
     print(" ", text)
 

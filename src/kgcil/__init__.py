@@ -27,8 +27,8 @@ from .triplet_text import (
     INSTRUCTION_PROMPT,
     EmptyAssignment,
     ParsedTriplet,
-    TrainingText,
     parse_triplets,
+    render_clause,
     render_training_text,
 )
 from .encoders import HashingEncoder, encoder_from_config, fnv1a_64

@@ -109,8 +109,6 @@ def compute_hacc(a0: float, an: float) -> float:
     """Harmonic balance of base-class and all-class accuracy; 0 when both are 0."""
     if a0 == an:
         return a0
-    if a0 == 0 and an == 0:
-        return 0.0
     return 2 * a0 * an / (a0 + an)
 
 
@@ -297,7 +295,7 @@ def _candidate_vectors(seen: list[str], subgraph: TaskSubgraph, encoder,
         texts = []
         for name in seen:
             a = subgraph.assignments.get(graph.entities.get(name))
-            texts.append(render_training_text(a, graph).text if a and a.paths else name)
+            texts.append(render_training_text(a, graph) if a and a.paths else name)
     return encode_candidates(texts, encoder)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .store import KnowledgeGraph, Record
 from .taskgraph import TaskSubgraph
-from .triplet_text import render_training_text
+from .triplet_text import render_clause, render_training_text
 
 MODES = ("oracle", "corrupted", "baseline_gmm")
 
@@ -131,19 +131,14 @@ class TextGenerator:
         self.config = config
         self.confusables = build_confusables(subgraph, graph)
         self._fillers = [t + "." for t in load_filler_templates()] if config.filler else []
-        self._oracle: dict[int, str] = {}
         self._clauses: dict[int, list[str]] = {}
         self._hypernyms: dict[int, list[str]] = {}
         isa = graph.relations.lower_index().get("isa")
         for cid, assignment in subgraph.assignments.items():
             if assignment.paths:
-                self._oracle[cid] = render_training_text(assignment, graph).text
-                self._clauses[cid] = [self._clause(p) for p in assignment.paths]
+                self._clauses[cid] = [render_clause(graph, p) for p in assignment.paths]
             hyp = [graph.entities.name(f.tail) for f in graph.facts_of(cid) if f.relation == isa]
             self._hypernyms[cid] = hyp
-
-    def _clause(self, path) -> str:
-        return f"{self.graph.relations.label(path.relations)} {self.graph.entities.name(path.tail)}"
 
     def generate_batch(self, class_id: int, sample_keys, baseline: bool = False) -> list[str]:
         """One description per sample key, each as generate() gives it alone.
@@ -157,7 +152,8 @@ class TextGenerator:
                 f"class {self.graph.entities.name(class_id)!r} has no allocated paths"
             )
         if mode == "oracle":
-            return [self._oracle[class_id]] * len(sample_keys)
+            text = render_training_text(self.subgraph.assignments[class_id], self.graph)
+            return [text] * len(sample_keys)
         if mode == "baseline_gmm":
             return self._baseline(class_id, _uniforms(self.config.seed, sample_keys, 2))
         width = 6 * len(self._clauses[class_id]) + 2

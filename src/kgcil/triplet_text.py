@@ -45,23 +45,17 @@ class ParsedTriplet:
     tail: str
 
 
-@dataclass(frozen=True)
-class TrainingText:
-    class_id: int
-    text: str
+def render_clause(graph: KnowledgeGraph, path) -> str:
+    """The clause '<label> <tail>' of one allocated path, the only place it is formatted."""
+    return f"{graph.relations.label(path.relations)} {graph.entities.name(path.tail)}"
 
 
-def render_training_text(assignment, graph: KnowledgeGraph) -> TrainingText:
+def render_training_text(assignment, graph: KnowledgeGraph) -> str:
     """Render every allocated path of a class as one clause per path."""
-    if not assignment.paths:
-        raise EmptyAssignment(
-            f"class {graph.entities.name(assignment.class_id)!r} has no allocated paths"
-        )
     cname = graph.entities.name(assignment.class_id)
-    clauses = []
-    for p in assignment.paths:
-        clauses.append(f"{cname} {graph.relations.label(p.relations)} {graph.entities.name(p.tail)}")
-    return TrainingText(assignment.class_id, ". ".join(clauses) + ".")
+    if not assignment.paths:
+        raise EmptyAssignment(f"class {cname!r} has no allocated paths")
+    return ". ".join(f"{cname} {render_clause(graph, p)}" for p in assignment.paths) + "."
 
 
 def label_reads_back(relations: NameTable, rels: tuple[int, ...]) -> bool:

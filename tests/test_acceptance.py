@@ -265,7 +265,7 @@ def test_criterion_5_parser_inversion():
             if not paths:
                 continue
             assignment = ClassAssignment(int(rng.integers(nent)), paths, 0)
-            text = render_training_text(assignment, graph).text
+            text = render_training_text(assignment, graph)
             parsed = parse_triplets(text, graph.relations)
             got = [(p.relations, graph.entity_id(p.tail)) for p in parsed]
             assert got == [(p.relations, p.tail) for p in paths], text

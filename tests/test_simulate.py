@@ -18,6 +18,7 @@ from kgcil import (
     extend_subgraph,
     load_filler_templates,
     parse_triplets,
+    render_clause,
     render_training_text,
 )
 from kgcil.simulate import _FILLER_BETWEEN_P, _uniforms
@@ -103,7 +104,7 @@ class TestOracle:
     def test_verbatim_training_text(self, fruit_graph, fruit_sub):
         gen = make_gen(fruit_graph, fruit_sub, mode="oracle")
         cid = fruit_graph.entity_id("pineapple")
-        want = render_training_text(fruit_sub.assignments[cid], fruit_graph).text
+        want = render_training_text(fruit_sub.assignments[cid], fruit_graph)
         assert gen.generate(cid, (0, 0)) == want
 
     def test_oracle_ignores_probabilities(self, fruit_graph, fruit_sub):
@@ -274,7 +275,7 @@ def test_corruption_rates_match_probabilities(fruit_graph, fruit_sub):
     gen = make_gen(fruit_graph, fruit_sub, p_drop=p_drop, p_swap=p_swap, filler=True, seed=8)
     cid = fruit_graph.entity_id("granny_smith")
     g = fruit_graph
-    own, other = ({f"it {g.relations.label(p.relations)} {g.entity_name(p.tail)}"
+    own, other = ({f"it {render_clause(g, p)}"
                    for p in fruit_sub.assignments[g.entity_id(name)].paths}
                   for name in ("granny_smith", "pineapple"))
     assert not any(t.startswith("it ") for t in load_filler_templates())

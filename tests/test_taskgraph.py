@@ -231,7 +231,7 @@ class TestInvariantsRandomized:
 
 def read_back(sub, graph, cname):
     """The vote tally and head that the class's own rendered text gets."""
-    text = render_training_text(sub.assignments[graph.entity_id(cname)], graph).text
+    text = render_training_text(sub.assignments[graph.entity_id(cname)], graph)
     return vote_head(parse_triplets(text, graph.relations), sub)
 
 
@@ -334,7 +334,7 @@ def test_granted_paths_read_back_to_their_class(tmp_path_factory, case):
         if not a.paths:
             continue
         cname = graph.entity_name(cid)
-        text = render_training_text(a, graph).text
+        text = render_training_text(a, graph)
         parsed = parse_triplets(text, graph.relations)
         assert [(p.relations, graph.entity_id(p.tail)) for p in parsed] == [p.key for p in a.paths]
         tally, head = read_back(sub, graph, cname)

@@ -39,7 +39,7 @@ def fruit_sub(fruit_graph):
 class TestRender:
     def test_single_hop(self, fruit_graph, fruit_sub):
         a = fruit_sub.assignments[fruit_graph.entity_id("granny_smith")]
-        assert render_training_text(a, fruit_graph).text == (
+        assert render_training_text(a, fruit_graph) == (
             "granny_smith IsA fruit. granny_smith ReceiveAction eaten."
         )
 
@@ -48,7 +48,7 @@ class TestRender:
         extend_subgraph(sub, ["anemonefish"], reef_graph, 1)
         extend_subgraph(sub, ["clownfish"], reef_graph, 1)
         a = sub.assignments[reef_graph.entity_id("clownfish")]
-        assert render_training_text(a, reef_graph).text == "clownfish RelatedTo_RelatedTo river."
+        assert render_training_text(a, reef_graph) == "clownfish RelatedTo_RelatedTo river."
 
     def test_empty_assignment(self, fruit_graph):
         a = ClassAssignment(fruit_graph.entity_id("eaten"), [], 0)
@@ -65,7 +65,7 @@ class TestParse:
     def test_canonical_roundtrip(self, fruit_graph, fruit_sub):
         g = fruit_graph
         a = fruit_sub.assignments[g.entity_id("granny_smith")]
-        text = render_training_text(a, g).text
+        text = render_training_text(a, g)
         assert parsed_names(g, parse_triplets(text, g.relations)) == [
             (("IsA",), "fruit"),
             (("ReceiveAction",), "eaten"),
@@ -154,7 +154,7 @@ def test_parse_inverts_render(case):
     for a in sub.assignments.values():
         if not a.paths:
             continue
-        text = render_training_text(a, graph).text
+        text = render_training_text(a, graph)
         parsed = parse_triplets(text, graph.relations)
         got = [(p.relations, graph.entity_id(p.tail)) for p in parsed]
         assert got == [(p.relations, p.tail) for p in a.paths]
