@@ -12,7 +12,6 @@ so a text ranks the same in a batch as alone.
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -50,7 +49,7 @@ class VoteTally:
 class Prediction:
     final_class: str
     augmented_text: str
-    similarity_scores: dict[str, float]
+    similarity_scores: dict[str, float]  # in ranking order, final_class first
     tie: bool
     graph_head: str | None = None
     tally: VoteTally | None = None
@@ -95,6 +94,7 @@ class BatchInference:
     t2: np.ndarray  # each text's squared count norm
     best: np.ndarray  # winning column per row
     tie: np.ndarray  # the row's top cosine is shared
+    exact: dict[int, np.ndarray]  # column order of each row ranked past the float bound
     vote_ms: float = 0.0  # parse + vote, whole batch
     classify_ms: float = 0.0  # augment + encode + rank, whole batch
 
@@ -102,11 +102,17 @@ class BatchInference:
         return self.candidates[self.best[i]]
 
     def prediction(self, i: int) -> Prediction:
-        """Row i, reporting cosines sqrt(key/t2): tied keys report one value, a zero norm 0.0."""
+        """Row i, reporting cosines sqrt(key/t2): tied keys report one value, a zero norm 0.0.
+
+        The scores run in ranking order: descending key, then name rank.
+        """
         tally, head = self.votes[i]
-        cosines = np.sqrt(self.keys[i] / max(self.t2[i], 1.0))
-        return Prediction(self.final_class(i), self.augmented[i],
-                          dict(zip(self.candidates, cosines.tolist())), bool(self.tie[i]),
+        order = self.exact.get(i)
+        if order is None:
+            order = np.lexsort((_name_rank(self.candidates), -self.keys[i]))
+        cosines = np.sqrt(self.keys[i][order] / max(self.t2[i], 1.0))
+        scores = dict(zip([self.candidates[j] for j in order.tolist()], cosines.tolist()))
+        return Prediction(self.final_class(i), self.augmented[i], scores, bool(self.tie[i]),
                           graph_head=head, tally=tally)
 
 
@@ -122,16 +128,16 @@ def _name_rank(candidates: tuple[str, ...]) -> np.ndarray:
 
 
 def _exact_best(row: np.ndarray, candidate_vectors: np.ndarray,
-                rank: np.ndarray) -> tuple[int, bool]:
-    """Best column and tie of one row, by d²/c2 in Python integers (rows past the float bound)."""
+                rank: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Column order and tie of one row, by d²/c2 in Python integers (rows past the float bound)."""
     from fractions import Fraction  # here, not at the top: the import costs a cold start ~3 ms
 
     cols = np.flatnonzero(row)
     counts = [int(x) for x in row[cols].tolist()]
     keys = [Fraction(sum(a * int(b) for a, b in zip(counts, c[cols].tolist())) ** 2,
                      max(sum(int(b) ** 2 for b in c.tolist()), 1)) for c in candidate_vectors]
-    best = min(range(len(keys)), key=lambda j: (-keys[j], rank[j]))
-    return best, keys.count(keys[best]) > 1
+    order = sorted(range(len(keys)), key=lambda j: (-keys[j], rank[j]))
+    return np.array(order), len(order) > 1 and keys[order[0]] == keys[order[1]]
 
 
 def rank_rows(texts, vectors: np.ndarray, candidates, encoder,
@@ -161,10 +167,12 @@ def rank_rows(texts, vectors: np.ndarray, candidates, encoder,
     tied = keys == keys.max(axis=1, keepdims=True)
     best = np.where(tied, rank, len(rank)).argmin(axis=1)
     tie = tied.sum(axis=1) > 1
-    for i in np.flatnonzero(t2 * c2.max() ** 2 >= 2.0 ** 52):
-        best[i], tie[i] = _exact_best(vectors[i], candidate_vectors, rank)
+    exact = {}
+    for i in np.flatnonzero(t2 * c2.max() ** 2 >= 2.0 ** 52).tolist():
+        exact[i], tie[i] = _exact_best(vectors[i], candidate_vectors, rank)
+        best[i] = exact[i][0]
     return BatchInference(list(texts), votes or [(None, None)] * len(texts), candidates,
-                          keys, t2, best, tie)
+                          keys, t2, best, tie, exact)
 
 
 def classify(text: str, candidates, encoder, candidate_vectors: np.ndarray | None = None) -> Prediction:
@@ -209,7 +217,7 @@ def prediction_record(raw_text: str, pred: Prediction, relations, top_k: int = 3
         return {"relations": [relations.name(r) for r in trip.relations], "tail": trip.tail}
 
     tally = pred.tally
-    top = heapq.nsmallest(top_k, pred.similarity_scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    top = list(pred.similarity_scores.items())[:top_k]
     return {
         "raw_text": raw_text,
         "matched": [{"triplet": fmt(t), "class": c} for t, c in tally.matched] if tally else [],

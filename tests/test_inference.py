@@ -218,7 +218,7 @@ class TestInfer:
         g = fruit_graph
         enc = HashingEncoder(256)
         a = fruit_sub.assignments[g.entity_id("pineapple")]
-        text = render_training_text(a, g).text
+        text = render_training_text(a, g)
         pred = infer(text, fruit_sub, ["granny_smith", "pineapple"], enc)
         assert pred.graph_head == "pineapple"
         assert pred.final_class == "pineapple"
@@ -271,3 +271,13 @@ class TestRecord:
         assert doc["graph_head"] == "granny_smith"
         assert doc["vote_tie"] is True
         assert len(doc["top_similarities"]) <= 3
+
+    def test_top_similarities_follow_the_exact_ranking(self):
+        # past the 2^52 bound the three keys tie exactly, while their float cosines do not
+        cand = np.array([[1, 0, 0, 1], [3, 0, 0, 3], [1, 0, 0, 1]], dtype=np.float64)
+        row = np.array([[3**21, 2 * 3**20, 3**20, 0]], dtype=np.float64)
+        pred = rank_rows([""], row, ["b", "a", "c"], None, cand).prediction(0)
+        rec = prediction_record("", pred, None)
+        assert rec["final_class"] == "a"
+        assert rec["similarity_tie"] is True
+        assert [name for name, _ in rec["top_similarities"]] == ["a", "b", "c"]
