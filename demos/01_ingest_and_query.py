@@ -9,6 +9,7 @@ import json
 import tempfile
 
 from kgcil import (
+    Candidates,
     HashingEncoder,
     KnowledgeGraph,
     TaskSubgraph,
@@ -65,7 +66,9 @@ def main():
     sub = TaskSubgraph(graph)
     extend_subgraph(sub, ["granny_smith", "pineapple"], graph, 2)
     text = "a tropical thing, it AtLocation store, it AtLocation pizza."
-    pred = infer(text, sub, sub.class_names(), HashingEncoder(256))
+    encoder = HashingEncoder(256)
+    names = sub.class_names()
+    pred = infer(text, sub, Candidates(names, encoder.encode_batch(names)), encoder)
     print("\nquery:", text)
     print(json.dumps(prediction_record(text, pred, graph.relations), indent=2))
 

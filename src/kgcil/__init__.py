@@ -34,6 +34,7 @@ from .triplet_text import (
 from .encoders import HashingEncoder, encoder_from_config, fnv1a_64
 from .inference import (
     BatchInference,
+    Candidates,
     EmptyCandidates,
     Prediction,
     VoteTally,

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .encoders import HashingEncoder
-from .inference import encode_candidates, infer_batch, prediction_record
+from .inference import Candidates, infer_batch, prediction_record
 from .simulate import GeneratorConfig, NoAssignment, TextGenerator, baseline_config
 from .store import KnowledgeGraph, Record, normalize_name
 from .taskgraph import TaskSubgraph, UnknownClass, extend_subgraph, render_export
@@ -242,8 +242,7 @@ def _eval_class(ctx: dict, cname: str) -> dict:
     except NoAssignment:
         texts = gen.generate_batch(cid, keys, baseline=True)
     gen_ms = (time.perf_counter() - t0) * 1000.0
-    batch = infer_batch(texts, ctx["subgraph"], ctx["candidates"], ctx["encoder"],
-                        ctx["candidate_vectors"])
+    batch = infer_batch(texts, ctx["subgraph"], ctx["candidates"], ctx["encoder"])
     records = None
     if ctx["diagnostics"]:
         records = []
@@ -284,19 +283,13 @@ def _evaluate_session(ctx: dict, seen: list[str], jobs: int) -> list[dict]:
         _WORKER_CTX = None
 
 
-def _candidate_vectors(seen: list[str], subgraph: TaskSubgraph, encoder,
-                       class_text_mode: str):
-    if class_text_mode not in CLASS_TEXT_MODES:
-        raise ValueError(f"class_text_mode must be one of {CLASS_TEXT_MODES}")
-    if class_text_mode == "name":
-        texts = seen
-    else:
-        graph = subgraph.graph
-        texts = []
-        for name in seen:
-            a = subgraph.assignments.get(graph.entities.get(name))
-            texts.append(render_training_text(a, graph) if a and a.paths else name)
-    return encode_candidates(texts, encoder)
+def _candidates(subgraph: TaskSubgraph, encoder, class_text_mode: str) -> Candidates:
+    """The subgraph's classes in allocation order, each encoded as its class text."""
+    names = texts = subgraph.class_names()
+    if class_text_mode == "name_plus_triplets":
+        texts = [render_training_text(a, subgraph.graph) if a.paths else name
+                 for a, name in zip(subgraph.assignments.values(), names)]
+    return Candidates(names, encoder.encode_batch(texts))
 
 
 def run_experiment(graph: KnowledgeGraph, schedule: TaskSchedule,
@@ -315,6 +308,8 @@ def run_experiment(graph: KnowledgeGraph, schedule: TaskSchedule,
     for name in names:
         if graph.entities.get(name) is None:
             raise UnknownClass(name)
+    if class_text_mode not in CLASS_TEXT_MODES:
+        raise ValueError(f"class_text_mode must be one of {CLASS_TEXT_MODES}")
     diag = open(diagnostics_path, "w", encoding="utf-8") if diagnostics_path else None
     try:
         results = [
@@ -350,8 +345,7 @@ def _run_order(graph, schedule, names, generator, r_target, encoder, seed,
             "graph": graph,
             "generator": gen,
             "subgraph": sub,
-            "candidates": list(seen),
-            "candidate_vectors": _candidate_vectors(seen, sub, encoder, class_text_mode),
+            "candidates": _candidates(sub, encoder, class_text_mode),  # the classes seen so far
             "encoder": encoder,
             "samples": schedule.samples_per_class,
             "session": t,
@@ -442,11 +436,10 @@ def bench(graph: KnowledgeGraph, subgraph: TaskSubgraph, n_samples: int = 1000,
     assigned = [graph.entities.name(cid) for cid, a in subgraph.assignments.items() if a.paths]
     if not assigned or n_samples < 1:
         return BenchReport(n_samples, len(subgraph.assignments), *[0.0] * 6, seed)
-    candidates = subgraph.class_names()
     encoder = HashingEncoder()
-    ctx = {"graph": graph, "subgraph": subgraph, "candidates": candidates, "encoder": encoder,
+    ctx = {"graph": graph, "subgraph": subgraph, "encoder": encoder,
+           "candidates": _candidates(subgraph, encoder, "name"),
            "generator": TextGenerator(graph, subgraph, GeneratorConfig(seed=seed, **_BENCH_GENERATOR)),
-           "candidate_vectors": encode_candidates(candidates, encoder),
            "session": 0, "diagnostics": False}
     per_class, extra = divmod(n_samples, len(assigned))
     rows = [_eval_class(dict(ctx, samples=per_class + (k < extra)), name)

@@ -2,8 +2,9 @@
 
 The pipeline mirrors how a relational description is turned into a label:
 parsed triplets vote through the exclusive pair registry, the winning class
-name is prepended to the raw text, and the augmented text is ranked against
-candidate class names by cosine similarity.
+name is prepended to the raw text, and the augmented text is ranked by cosine
+similarity against a session's Candidates: the class names seen so far and
+their token counts, built once per session.
 
 infer_batch runs the pipeline for many texts at once (the harness sends one
 batch per class). Ranking is exact arithmetic on the encoder's token counts,
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .triplet_text import ParsedTriplet, parse_batch
 
 
 class EmptyCandidates(ValueError):
-    """classify needs at least one candidate class."""
+    """A candidate set needs at least one class."""
 
 
 @dataclass
@@ -79,8 +79,38 @@ def augment_text(raw: str, head_name: str | None) -> str:
     return f"{head_name} {raw}" if raw else head_name
 
 
-def encode_candidates(names, encoder) -> np.ndarray:
-    return encoder.encode_batch(list(names))
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """A session's candidate classes, built once; every array is read-only.
+
+    The set keeps the float64 vectors it is given and makes them read-only
+    (no copy), so build it from an array that nothing else writes. No names
+    raise EmptyCandidates, a repeated name ValueError.
+    """
+
+    names: tuple[str, ...]  # distinct; column j of every ranking is names[j]
+    vectors: np.ndarray  # row j: token counts of names[j]'s class text
+    c2: np.ndarray = field(init=False)  # each row's squared norm
+    rank: np.ndarray = field(init=False)  # each name's lexicographic rank
+
+    def __post_init__(self):
+        names = tuple(self.names)
+        if not names:
+            raise EmptyCandidates("no candidate classes to rank against")
+        order = {name: k for k, name in enumerate(sorted(names))}
+        if len(order) < len(names):
+            raise ValueError("candidate class names must be distinct")
+        vectors = np.asarray(self.vectors, dtype=np.float64)
+        c2 = np.einsum("ij,ij->i", vectors, vectors)
+        rank = np.array([order[name] for name in names])
+        for array in (vectors, c2, rank):
+            array.flags.writeable = False
+        for key, value in zip(("names", "vectors", "c2", "rank"), (names, vectors, c2, rank)):
+            object.__setattr__(self, key, value)
+
+
+def encode_candidates(names, encoder) -> Candidates:
+    return Candidates(names, encoder.encode_batch(list(names)))
 
 
 @dataclass
@@ -89,7 +119,7 @@ class BatchInference:
 
     augmented: list[str]
     votes: list[tuple[VoteTally | None, str | None]]
-    candidates: tuple[str, ...]  # distinct names, the column order of keys
+    candidates: Candidates  # its names are the column order of keys
     keys: np.ndarray  # rank keys d²/c2, texts x candidates (see rank_rows)
     t2: np.ndarray  # each text's squared count norm
     best: np.ndarray  # winning column per row
@@ -99,7 +129,7 @@ class BatchInference:
     classify_ms: float = 0.0  # augment + encode + rank, whole batch
 
     def final_class(self, i: int) -> str:
-        return self.candidates[self.best[i]]
+        return self.candidates.names[self.best[i]]
 
     def prediction(self, i: int) -> Prediction:
         """Row i, reporting cosines sqrt(key/t2): tied keys report one value, a zero norm 0.0.
@@ -107,41 +137,29 @@ class BatchInference:
         The scores run in ranking order: descending key, then name rank.
         """
         tally, head = self.votes[i]
+        names = self.candidates.names
         order = self.exact.get(i)
         if order is None:
-            order = np.lexsort((_name_rank(self.candidates), -self.keys[i]))
+            order = np.lexsort((self.candidates.rank, -self.keys[i]))
         cosines = np.sqrt(self.keys[i][order] / max(self.t2[i], 1.0))
-        scores = dict(zip([self.candidates[j] for j in order.tolist()], cosines.tolist()))
+        scores = dict(zip([names[j] for j in order.tolist()], cosines.tolist()))
         return Prediction(self.final_class(i), self.augmented[i], scores, bool(self.tie[i]),
                           graph_head=head, tally=tally)
 
 
-@lru_cache(maxsize=16)
-def _name_rank(candidates: tuple[str, ...]) -> np.ndarray:
-    """Each candidate's lexicographic rank, cached: a session ranks every class against one list."""
-    order = {name: k for k, name in enumerate(sorted(candidates))}
-    if len(order) < len(candidates):
-        raise ValueError("candidate class names must be distinct")
-    rank = np.array([order[name] for name in candidates])
-    rank.flags.writeable = False
-    return rank
-
-
-def _exact_best(row: np.ndarray, candidate_vectors: np.ndarray,
-                rank: np.ndarray) -> tuple[np.ndarray, bool]:
+def _exact_best(row: np.ndarray, candidates: Candidates) -> tuple[np.ndarray, bool]:
     """Column order and tie of one row, by d²/c2 in Python integers (rows past the float bound)."""
     from fractions import Fraction  # here, not at the top: the import costs a cold start ~3 ms
 
     cols = np.flatnonzero(row)
     counts = [int(x) for x in row[cols].tolist()]
     keys = [Fraction(sum(a * int(b) for a, b in zip(counts, c[cols].tolist())) ** 2,
-                     max(sum(int(b) ** 2 for b in c.tolist()), 1)) for c in candidate_vectors]
-    order = sorted(range(len(keys)), key=lambda j: (-keys[j], rank[j]))
+                     max(sum(int(b) ** 2 for b in c.tolist()), 1)) for c in candidates.vectors]
+    order = sorted(range(len(keys)), key=lambda j: (-keys[j], candidates.rank[j]))
     return np.array(order), len(order) > 1 and keys[order[0]] == keys[order[1]]
 
 
-def rank_rows(texts, vectors: np.ndarray, candidates, encoder,
-              candidate_vectors: np.ndarray | None = None, votes=None) -> BatchInference:
+def rank_rows(texts, vectors: np.ndarray, candidates: Candidates, votes=None) -> BatchInference:
     """Rank rows of token counts against the candidates by cosine; ties go lexicographic.
 
     Counts are non-negative integers, so a row's dot products d and the
@@ -150,64 +168,51 @@ def rank_rows(texts, vectors: np.ndarray, candidates, encoder,
     d*d / max(c2, 1) keeps equal rationals equal and distinct ones apart and
     in order; rows past that bound are ranked with Python integers.
     """
-    candidates = tuple(candidates)
-    if not candidates:
-        raise EmptyCandidates("no candidate classes to rank against")
-    if candidate_vectors is None:
-        candidate_vectors = encode_candidates(candidates, encoder)
-    rank = _name_rank(candidates)
-    c2 = np.einsum("ij,ij->i", candidate_vectors, candidate_vectors)
+    c2, rank = candidates.c2, candidates.rank
     t2 = np.einsum("ij,ij->i", vectors, vectors)
     # exact in any order; one matrix-vector product per row, as a batched matmul
     # runs OpenBLAS's threaded GEMM: slower on `kgcil run`, and some processes stall in it
-    dots = np.empty((len(vectors), len(candidates)))
+    dots = np.empty((len(vectors), len(rank)))
     for i, row in enumerate(vectors):
-        np.matmul(candidate_vectors, row, out=dots[i])
+        np.matmul(candidates.vectors, row, out=dots[i])
     keys = dots * dots / np.maximum(c2, 1.0)
     tied = keys == keys.max(axis=1, keepdims=True)
     best = np.where(tied, rank, len(rank)).argmin(axis=1)
     tie = tied.sum(axis=1) > 1
     exact = {}
     for i in np.flatnonzero(t2 * c2.max() ** 2 >= 2.0 ** 52).tolist():
-        exact[i], tie[i] = _exact_best(vectors[i], candidate_vectors, rank)
+        exact[i], tie[i] = _exact_best(vectors[i], candidates)
         best[i] = exact[i][0]
     return BatchInference(list(texts), votes or [(None, None)] * len(texts), candidates,
                           keys, t2, best, tie, exact)
 
 
-def classify(text: str, candidates, encoder, candidate_vectors: np.ndarray | None = None) -> Prediction:
-    """Rank text against candidate class names by cosine; ties go lexicographic.
-
-    candidate_vectors, when given, must be encoder outputs aligned with
-    candidates (callers cache them to avoid re-encoding per sample).
-    """
-    return rank_rows([text], encoder.encode(text)[None], candidates, encoder,
-                     candidate_vectors).prediction(0)
+def classify(text: str, names, encoder, candidates: Candidates) -> Prediction:
+    """Rank text against a session's candidates, which must name exactly names, in order."""
+    if candidates.names != tuple(names):
+        raise ValueError("candidates do not hold the names given")
+    return rank_rows([text], encoder.encode(text)[None], candidates).prediction(0)
 
 
-def infer_batch(texts, subgraph: TaskSubgraph, candidates, encoder,
-                candidate_vectors: np.ndarray | None = None) -> BatchInference:
+def infer_batch(texts, subgraph: TaskSubgraph, candidates: Candidates, encoder) -> BatchInference:
     """parse -> vote -> augment -> classify for many texts with one encode.
 
     Every row equals infer() on that text alone. When no triplet of a text
-    matches the registry, its row equals classify(text).
+    matches the registry, the text is ranked as it stands.
     """
     t0 = time.perf_counter()
     parsed = parse_batch(texts, subgraph.graph.relations)
     votes = [vote_head(triplets, subgraph) for triplets in parsed]
     t1 = time.perf_counter()
     augmented = [augment_text(t, head) for t, (_, head) in zip(texts, votes)]
-    batch = rank_rows(augmented, encoder.encode_batch(augmented), candidates, encoder,
-                      candidate_vectors, votes)
+    batch = rank_rows(augmented, encoder.encode_batch(augmented), candidates, votes)
     batch.vote_ms, batch.classify_ms = (t1 - t0) * 1000.0, (time.perf_counter() - t1) * 1000.0
     return batch
 
 
-def infer(raw_text: str, subgraph: TaskSubgraph, candidates, encoder,
-          candidate_vectors: np.ndarray | None = None) -> Prediction:
+def infer(raw_text: str, subgraph: TaskSubgraph, candidates: Candidates, encoder) -> Prediction:
     """infer_batch on one text, with the tally kept for diagnostics."""
-    return infer_batch([raw_text], subgraph, candidates, encoder,
-                       candidate_vectors).prediction(0)
+    return infer_batch([raw_text], subgraph, candidates, encoder).prediction(0)
 
 
 def prediction_record(raw_text: str, pred: Prediction, relations, top_k: int = 3) -> dict:

@@ -182,10 +182,9 @@ def import_subgraph(path, graph: KnowledgeGraph) -> TaskSubgraph:
             if len(parts) != 4:
                 raise ValueError(f"subgraph line {line_no}: expected 4 fields, got {len(parts)}")
             task_s, cname, rel_s, tail_s = parts
-            try:
-                task_index = int(task_s)
-            except ValueError:
-                raise ValueError(f"subgraph line {line_no}: bad task index {task_s!r}") from None
+            if not task_s.strip().isdecimal():  # digits only: no sign, so no negative index
+                raise ValueError(f"subgraph line {line_no}: bad task index {task_s!r}")
+            task_index = int(task_s)
             cid = graph.entities.get(normalize_name(cname))
             if cid is None:
                 raise UnknownClass(cname)

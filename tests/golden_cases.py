@@ -22,6 +22,7 @@ import tempfile
 from pathlib import Path
 
 from kgcil import (
+    Candidates,
     GeneratorConfig,
     HashingEncoder,
     TaskSchedule,
@@ -93,9 +94,11 @@ def query_records(g=None) -> list[dict]:
     sub = TaskSubgraph(g)
     extend_subgraph(sub, [class_name(i) for i in range(N_CLASSES)], g, 3)
     enc = HashingEncoder(64)
+    names = sub.class_names()
+    candidates = Candidates(names, enc.encode_batch(names))
     out = []
     for text in QUERY_TEXTS:
-        pred = infer(text, sub, sub.class_names(), enc)
+        pred = infer(text, sub, candidates, enc)
         out.append(_roundtrip(prediction_record(text, pred, g.relations)))
     return out
 

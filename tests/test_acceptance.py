@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from kgcil import (
+    Candidates,
     GeneratorConfig,
     HashingEncoder,
     KnowledgeGraph,
@@ -29,7 +30,6 @@ from kgcil import (
     bench,
     compute_hacc,
     compute_pd,
-    encode_candidates,
     extend_subgraph,
     infer,
     load_graph,
@@ -148,14 +148,14 @@ def test_criterion_3_drop_only_law():
     assert all(len(a.paths) == 3 for a in sub.assignments.values()), "law needs r=3 everywhere"
     candidates = sub.class_names()
     enc = HashingEncoder(256)
-    vecs = encode_candidates(candidates, enc)
+    candidate_set = Candidates(candidates, enc.encode_batch(candidates))
     gen = TextGenerator(g, sub, GeneratorConfig(p_drop=p, seed=33, filler=False))
     n = 10_000
     correct = 0
     for s in range(n):
         name = candidates[s % len(candidates)]
         text = gen.generate(g.entity_id(name), (0, s))
-        pred = infer(text, sub, candidates, enc, vecs)
+        pred = infer(text, sub, candidate_set, enc)
         correct += pred.final_class == name
     acc = correct / n
     sigma = math.sqrt(analytic * (1 - analytic) / n)

@@ -230,10 +230,14 @@ class TestRunExperiment:
         )
         assert report.summary()["last"]["mean"] == 1.0
 
-    def test_bad_class_text_mode(self, small_graph, small_schedule):
-        with pytest.raises(ValueError):
+    def test_bad_class_text_mode(self, small_graph, small_schedule, tmp_path):
+        diag = tmp_path / "diagnostics.jsonl"
+        diag.write_text('{"kept": true}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match="class_text_mode"):
             run_experiment(small_graph, small_schedule, GeneratorConfig(mode="oracle"),
-                           2, HashingEncoder(64), orders=[0], class_text_mode="vibes")
+                           2, HashingEncoder(64), orders=[0], class_text_mode="vibes",
+                           diagnostics_path=diag)
+        assert diag.read_text(encoding="utf-8") == '{"kept": true}\n'  # checked before it opens
 
 
 class TestPairedComparison:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -8,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgcil import (
+    Candidates,
     EmptyCandidates,
     HashingEncoder,
     ParsedTriplet,
     TaskSubgraph,
     augment_text,
     classify,
-    encode_candidates,
     extend_subgraph,
     infer,
     infer_batch,
@@ -35,8 +36,19 @@ def fruit_sub(fruit_graph):
     return sub
 
 
+FRUIT = ["granny_smith", "pineapple"]
+
+
 def trip(graph, rels, tail):
     return ParsedTriplet(tuple(graph.relation_id(r) for r in rels), tail)
+
+
+def candidate_set(names, enc) -> Candidates:
+    return Candidates(names, enc.encode_batch(list(names)))
+
+
+def classify_names(text, names, enc):
+    return classify(text, names, enc, candidate_set(names, enc))
 
 
 class TestVote:
@@ -135,45 +147,74 @@ class TestAugment:
 
 class TestClassify:
     def test_exact_name_wins(self):
-        enc = HashingEncoder(256)
-        pred = classify("pineapple", ["granny_smith", "pineapple"], enc)
+        pred = classify_names("pineapple", FRUIT, HashingEncoder(256))
         assert pred.final_class == "pineapple"
         assert pred.similarity_scores["pineapple"] == pytest.approx(1.0)
 
     def test_empty_candidates(self):
+        # raised when the set is built, before any text is ranked
         with pytest.raises(EmptyCandidates):
-            classify("anything", [], HashingEncoder(16))
+            candidate_set([], HashingEncoder(16))
+        with pytest.raises(EmptyCandidates):
+            Candidates((), np.zeros((0, 16)))
 
     def test_single_candidate(self):
-        pred = classify("no overlap at all", ["pineapple"], HashingEncoder(64))
+        pred = classify_names("no overlap at all", ["pineapple"], HashingEncoder(64))
         assert pred.final_class == "pineapple"
 
     def test_zero_similarity_tie_is_lexicographic(self):
-        enc = HashingEncoder(256)
-        pred = classify("This is a photo of a apple", ["granny_smith", "pineapple"], enc)
+        pred = classify_names("This is a photo of a apple", FRUIT, HashingEncoder(256))
         assert pred.final_class == "granny_smith"
         assert pred.tie
 
-    def test_cached_vectors_match(self):
-        enc = HashingEncoder(128)
-        from kgcil import encode_candidates
-        names = ["alpha", "beta", "gamma"]
-        vecs = encode_candidates(names, enc)
-        a = classify("beta things", names, enc)
-        b = classify("beta things", names, enc, candidate_vectors=vecs)
-        assert a.final_class == b.final_class == "beta"
-        assert a.similarity_scores == b.similarity_scores
+    def test_one_set_ranks_many_batches(self):
+        # a set is built once and ranks every batch of a session; no call may leave
+        # anything behind in it, so each row ranks as against a freshly built set
+        rng = np.random.default_rng(5)
+        enc = HashingEncoder(32)
+        words = ["alpha", "beta", "gamma", "delta", "it", "isa", "fruit", ""]
+        names = ["gamma", "alpha", "delta", "beta", "alpha_beta"]
+        shared = candidate_set(names, enc)
+        for _ in range(40):
+            texts = [" ".join(rng.choice(words, size=int(rng.integers(0, 6))))
+                     for _ in range(int(rng.integers(1, 8)))]
+            batch = rank_rows(texts, enc.encode_batch(texts), shared)
+            for i, text in enumerate(texts):
+                fresh = rank_rows([text], enc.encode_batch([text]), candidate_set(names, enc))
+                got, want = batch.prediction(i), fresh.prediction(0)
+                assert got.final_class == want.final_class
+                assert got.tie == want.tie
+                assert list(got.similarity_scores.items()) == list(want.similarity_scores.items())
+
+    def test_set_arrays_are_read_only(self):
+        raw = np.array([[1.0, 2.0], [0.0, 3.0]])
+        cands = Candidates(["b", "a"], raw)
+        for array in (cands.vectors, cands.c2, cands.rank):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
+        with pytest.raises(FrozenInstanceError):
+            cands.c2 = np.zeros(2)
+        with pytest.raises(ValueError, match="read-only"):
+            raw[0] = 9.0  # the set keeps the array it was given, so no one writes it
+        assert cands.vectors.tolist() == [[1.0, 2.0], [0.0, 3.0]]
+        assert cands.names == ("b", "a")
+        assert cands.c2.tolist() == [5.0, 9.0]
+        assert cands.rank.tolist() == [1, 0]
+
+    def test_classify_checks_the_set_names(self):
+        enc = HashingEncoder(32)
+        with pytest.raises(ValueError, match="names"):
+            classify("pineapple", ["pineapple", "granny_smith"], enc, candidate_set(FRUIT, enc))
 
     def test_tie_goes_to_smallest_name_in_any_order(self):
-        pred = classify("", ["pineapple", "granny_smith", "apple"], HashingEncoder(32))
+        pred = classify_names("", ["pineapple", "granny_smith", "apple"], HashingEncoder(32))
         assert pred.final_class == "apple"
         assert pred.tie
 
     def test_repeated_candidate_raises(self):
-        enc = HashingEncoder(64)
-        vecs = encode_candidates(["beta", "alpha", "beta"], enc)
-        with pytest.raises(ValueError):
-            classify("beta", ["beta", "alpha", "beta"], enc, candidate_vectors=vecs)
+        # raised when the set is built, before any text is ranked
+        with pytest.raises(ValueError, match="distinct"):
+            candidate_set(["beta", "alpha", "beta"], HashingEncoder(64))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -193,7 +234,7 @@ class TestClassify:
                                     max_size=len(rows)))  # the larger ones pass the 2^52 bound
         rows = np.array(rows, dtype=np.float64) * np.array(scales, dtype=np.float64)[:, None]
         names = [f"c{k}" for k in data.draw(st.permutations(range(m)))]
-        ranking = rank_rows([""] * len(rows), rows, names, None, cand)
+        ranking = rank_rows([""] * len(rows), rows, Candidates(names, cand))
         cand_ints = [[int(x) for x in c] for c in cand.tolist()]
         for i, row in enumerate(rows.tolist()):
             counts = [int(x) for x in row]
@@ -219,7 +260,7 @@ class TestInfer:
         enc = HashingEncoder(256)
         a = fruit_sub.assignments[g.entity_id("pineapple")]
         text = render_training_text(a, g)
-        pred = infer(text, fruit_sub, ["granny_smith", "pineapple"], enc)
+        pred = infer(text, fruit_sub, candidate_set(FRUIT, enc), enc)
         assert pred.graph_head == "pineapple"
         assert pred.final_class == "pineapple"
         assert pred.tally.counts == {"pineapple": 2}
@@ -227,8 +268,8 @@ class TestInfer:
     def test_fallback_equals_plain_classify(self, fruit_graph, fruit_sub):
         enc = HashingEncoder(256)
         raw = "This is a photo of a apple"
-        pred = infer(raw, fruit_sub, ["granny_smith", "pineapple"], enc)
-        plain = classify(raw, ["granny_smith", "pineapple"], enc)
+        pred = infer(raw, fruit_sub, candidate_set(FRUIT, enc), enc)
+        plain = classify_names(raw, FRUIT, enc)
         assert pred.graph_head is None
         assert pred.augmented_text == raw
         assert pred.final_class == plain.final_class
@@ -236,14 +277,14 @@ class TestInfer:
 
     def test_batch_rows_equal_single_infer(self, fruit_graph, fruit_sub):
         enc = HashingEncoder(64)
-        names = ["granny_smith", "pineapple"]
+        cands = candidate_set(FRUIT, enc)
         texts = ["it IsA fruit.", "", "it AtLocation pizza. it AtLocation store.",
                  "This is a photo of a apple", "it IsA fruit. it AtLocation pizza."]
-        batch = infer_batch(texts, fruit_sub, names, enc, encode_candidates(names, enc))
+        batch = infer_batch(texts, fruit_sub, cands, enc)
         assert batch.vote_ms > 0.0  # the batch's own stage timers
         assert batch.classify_ms > 0.0
         for i, text in enumerate(texts):
-            single = infer(text, fruit_sub, names, enc)
+            single = infer(text, fruit_sub, cands, enc)
             got = batch.prediction(i)
             assert got.final_class == single.final_class
             assert got.similarity_scores == single.similarity_scores
@@ -253,8 +294,9 @@ class TestInfer:
             assert got.augmented_text == single.augmented_text
 
     def test_batch_empty_candidates(self, fruit_sub):
-        with pytest.raises(EmptyCandidates):
-            infer_batch(["it IsA fruit."], fruit_sub, [], HashingEncoder(16))
+        enc = HashingEncoder(16)
+        with pytest.raises(EmptyCandidates):  # the set's build raises before infer_batch runs
+            infer_batch(["it IsA fruit."], fruit_sub, candidate_set([], enc), enc)
 
 
 class TestRecord:
@@ -263,7 +305,7 @@ class TestRecord:
 
         enc = HashingEncoder(256)
         raw = "it IsA fruit. it AtLocation pizza."
-        pred = infer(raw, fruit_sub, ["granny_smith", "pineapple"], enc)
+        pred = infer(raw, fruit_sub, candidate_set(FRUIT, enc), enc)
         rec = prediction_record(raw, pred, fruit_graph.relations)
         doc = json.loads(json.dumps(rec))
         assert doc["raw_text"] == raw
@@ -276,7 +318,7 @@ class TestRecord:
         # past the 2^52 bound the three keys tie exactly, while their float cosines do not
         cand = np.array([[1, 0, 0, 1], [3, 0, 0, 3], [1, 0, 0, 1]], dtype=np.float64)
         row = np.array([[3**21, 2 * 3**20, 3**20, 0]], dtype=np.float64)
-        pred = rank_rows([""], row, ["b", "a", "c"], None, cand).prediction(0)
+        pred = rank_rows([""], row, Candidates(["b", "a", "c"], cand)).prediction(0)
         rec = prediction_record("", pred, None)
         assert rec["final_class"] == "a"
         assert rec["similarity_tie"] is True

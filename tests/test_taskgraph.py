@@ -185,6 +185,14 @@ class TestExport:
         with pytest.raises(ValueError, match="expected 4 fields"):
             import_subgraph(out, fruit_graph)
 
+    @pytest.mark.parametrize("task", ["-2", "x"])
+    def test_import_rejects_bad_task_index(self, fruit_graph, tmp_path, task):
+        out = tmp_path / "bad.tsv"
+        out.write_text(f"0\tgranny_smith\tIsA\tfruit\n{task}\tpineapple\tIsA\tfruit\n",
+                       encoding="utf-8")
+        with pytest.raises(ValueError, match=f"subgraph line 2: bad task index '{task}'"):
+            import_subgraph(out, fruit_graph)
+
 
 class TestInvariantsRandomized:
     def test_exclusivity_and_conservation(self):
