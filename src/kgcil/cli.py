@@ -53,7 +53,7 @@ def parse_classes_file(path) -> list[list[str]]:
     """Class names, one per line; blank lines separate task blocks."""
     blocks: list[list[str]] = []
     current: list[str] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # -sig drops a leading BOM
         for raw in fh:
             line = raw.strip()
             if not line:

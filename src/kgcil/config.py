@@ -10,6 +10,9 @@ import functools
 import json
 import os
 
+from .harness import CLASS_TEXT_MODES
+from .simulate import MODES
+
 _PROB = {"type": "number", "minimum": 0.0, "maximum": 1.0}
 
 RUN_CONFIG_SCHEMA = {
@@ -39,7 +42,7 @@ RUN_CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "mode": {"enum": ["oracle", "corrupted", "baseline_gmm"]},
+                "mode": {"enum": list(MODES)},
                 "p_drop": _PROB,
                 "p_swap": _PROB,
                 "p_hypernym": _PROB,
@@ -59,7 +62,7 @@ RUN_CONFIG_SCHEMA = {
         "output_dir": {"type": "string"},
         "jobs": {"type": "integer", "minimum": 1},
         "compare_baseline": {"type": "boolean"},
-        "class_text_mode": {"enum": ["name", "name_plus_triplets"]},
+        "class_text_mode": {"enum": list(CLASS_TEXT_MODES)},
         "diagnostics": {"type": "boolean"},
     },
 }

@@ -245,12 +245,9 @@ def _eval_class(ctx: dict, cname: str) -> dict:
     batch = infer_batch(texts, ctx["subgraph"], ctx["candidates"], ctx["encoder"])
     records = None
     if ctx["diagnostics"]:
-        records = []
-        for s, text in enumerate(texts):
-            rec = prediction_record(text, batch.prediction(s), graph.relations)
-            rec.update(order_seed=ctx["order_seed"], session=session,
-                       true_class=cname, sample=s)
-            records.append(rec)
+        where = {"order_seed": ctx["order_seed"], "session": session, "true_class": cname}
+        records = [{**prediction_record(text, pred, graph.relations), **where, "sample": s}
+                   for s, (text, pred) in enumerate(zip(texts, batch.predictions()))]
     return {
         "name": cname,
         "correct": sum(batch.final_class(s) == cname for s in range(len(texts))),
@@ -359,9 +356,7 @@ def _run_order(graph, schedule, names, generator, r_target, encoder, seed,
         base_total = sum(per_class[c][1] for c in base)
         base_correct = sum(per_class[c][0] for c in base)
         if diag:
-            for row in rows:
-                for rec in row["records"] or []:
-                    diag.write(json.dumps(rec) + "\n")
+            diag.write("".join(json.dumps(rec) + "\n" for row in rows for rec in row["records"]))
         out.append(SessionResult(
             index=t,
             new_classes=list(sess_classes),

@@ -8,7 +8,8 @@ their token counts, built once per session.
 
 infer_batch runs the pipeline for many texts at once (the harness sends one
 batch per class). Ranking is exact arithmetic on the encoder's token counts,
-so a text ranks the same in a batch as alone.
+so a text ranks the same in a batch as alone. The set keeps its names sorted,
+so a ranking is one stable sort by descending key: ties go to the smallest name.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import numpy as np
 
 from .taskgraph import TaskSubgraph
 from .triplet_text import ParsedTriplet, parse_batch
+
+TOP_K = 3  # similarity scores a Prediction keeps
 
 
 class EmptyCandidates(ValueError):
@@ -49,7 +52,7 @@ class VoteTally:
 class Prediction:
     final_class: str
     augmented_text: str
-    similarity_scores: dict[str, float]  # in ranking order, final_class first
+    similarity_scores: dict[str, float]  # the top TOP_K in ranking order, final_class first
     tie: bool
     graph_head: str | None = None
     tally: VoteTally | None = None
@@ -81,31 +84,29 @@ def augment_text(raw: str, head_name: str | None) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Candidates:
-    """A session's candidate classes, built once; every array is read-only.
+    """A session's candidate classes, built once, in name order; every array is read-only.
 
-    The set keeps the float64 vectors it is given and makes them read-only
-    (no copy), so build it from an array that nothing else writes. No names
-    raise EmptyCandidates, a repeated name ValueError.
+    Row j of the vectors given belongs to the j-th name given; the set sorts
+    the names and copies each row along with its name. No names raise
+    EmptyCandidates, a repeated name or a missing or extra row ValueError.
     """
 
-    names: tuple[str, ...]  # distinct; column j of every ranking is names[j]
+    names: tuple[str, ...]  # distinct and sorted; column j of every ranking is names[j]
     vectors: np.ndarray  # row j: token counts of names[j]'s class text
     c2: np.ndarray = field(init=False)  # each row's squared norm
-    rank: np.ndarray = field(init=False)  # each name's lexicographic rank
 
     def __post_init__(self):
-        names = tuple(self.names)
-        if not names:
+        given = tuple(self.names)
+        if not given:
             raise EmptyCandidates("no candidate classes to rank against")
-        order = {name: k for k, name in enumerate(sorted(names))}
-        if len(order) < len(names):
+        rows = dict(zip(given, np.asarray(self.vectors, dtype=np.float64), strict=True))
+        if len(rows) < len(given):
             raise ValueError("candidate class names must be distinct")
-        vectors = np.asarray(self.vectors, dtype=np.float64)
+        names = tuple(sorted(rows))
+        vectors = np.array([rows[name] for name in names])
         c2 = np.einsum("ij,ij->i", vectors, vectors)
-        rank = np.array([order[name] for name in names])
-        for array in (vectors, c2, rank):
-            array.flags.writeable = False
-        for key, value in zip(("names", "vectors", "c2", "rank"), (names, vectors, c2, rank)):
+        vectors.flags.writeable = c2.flags.writeable = False
+        for key, value in zip(("names", "vectors", "c2"), (names, vectors, c2)):
             object.__setattr__(self, key, value)
 
 
@@ -131,20 +132,21 @@ class BatchInference:
     def final_class(self, i: int) -> str:
         return self.candidates.names[self.best[i]]
 
-    def prediction(self, i: int) -> Prediction:
-        """Row i, reporting cosines sqrt(key/t2): tied keys report one value, a zero norm 0.0.
+    def predictions(self) -> list[Prediction]:
+        """One per row, with its top TOP_K cosines sqrt(key/t2); a zero norm reports 0.0.
 
-        The scores run in ranking order: descending key, then name rank.
+        The scores run in ranking order: descending key, ties in column (name) order.
         """
-        tally, head = self.votes[i]
+        top = np.argsort(-self.keys, axis=1, kind="stable")[:, :TOP_K]
+        for i, order in self.exact.items():
+            top[i] = order[:TOP_K]
+        t2 = np.maximum(self.t2, 1.0)[:, None]
+        cosines = np.sqrt(np.take_along_axis(self.keys, top, axis=1) / t2).tolist()
         names = self.candidates.names
-        order = self.exact.get(i)
-        if order is None:
-            order = np.lexsort((self.candidates.rank, -self.keys[i]))
-        cosines = np.sqrt(self.keys[i][order] / max(self.t2[i], 1.0))
-        scores = dict(zip([names[j] for j in order.tolist()], cosines.tolist()))
-        return Prediction(self.final_class(i), self.augmented[i], scores, bool(self.tie[i]),
-                          graph_head=head, tally=tally)
+        return [Prediction(names[cols[0]], text, dict(zip([names[j] for j in cols], scores)),
+                           tie, graph_head=head, tally=tally)
+                for cols, scores, text, tie, (tally, head)
+                in zip(top.tolist(), cosines, self.augmented, self.tie.tolist(), self.votes)]
 
 
 def _exact_best(row: np.ndarray, candidates: Candidates) -> tuple[np.ndarray, bool]:
@@ -155,12 +157,12 @@ def _exact_best(row: np.ndarray, candidates: Candidates) -> tuple[np.ndarray, bo
     counts = [int(x) for x in row[cols].tolist()]
     keys = [Fraction(sum(a * int(b) for a, b in zip(counts, c[cols].tolist())) ** 2,
                      max(sum(int(b) ** 2 for b in c.tolist()), 1)) for c in candidates.vectors]
-    order = sorted(range(len(keys)), key=lambda j: (-keys[j], candidates.rank[j]))
+    order = sorted(range(len(keys)), key=lambda j: -keys[j])  # stable: ties keep name order
     return np.array(order), len(order) > 1 and keys[order[0]] == keys[order[1]]
 
 
 def rank_rows(texts, vectors: np.ndarray, candidates: Candidates, votes=None) -> BatchInference:
-    """Rank rows of token counts against the candidates by cosine; ties go lexicographic.
+    """Rank rows of token counts against the candidates by cosine; ties go to the smallest name.
 
     Counts are non-negative integers, so a row's dot products d and the
     squared norms c2 (candidates) and t2 (row) are exact, and the cosine
@@ -168,17 +170,16 @@ def rank_rows(texts, vectors: np.ndarray, candidates: Candidates, votes=None) ->
     d*d / max(c2, 1) keeps equal rationals equal and distinct ones apart and
     in order; rows past that bound are ranked with Python integers.
     """
-    c2, rank = candidates.c2, candidates.rank
+    c2 = candidates.c2
     t2 = np.einsum("ij,ij->i", vectors, vectors)
     # exact in any order; one matrix-vector product per row, as a batched matmul
     # runs OpenBLAS's threaded GEMM: slower on `kgcil run`, and some processes stall in it
-    dots = np.empty((len(vectors), len(rank)))
+    dots = np.empty((len(vectors), len(c2)))
     for i, row in enumerate(vectors):
         np.matmul(candidates.vectors, row, out=dots[i])
     keys = dots * dots / np.maximum(c2, 1.0)
-    tied = keys == keys.max(axis=1, keepdims=True)
-    best = np.where(tied, rank, len(rank)).argmin(axis=1)
-    tie = tied.sum(axis=1) > 1
+    best = keys.argmax(axis=1)  # the first maximum: columns run in name order
+    tie = (keys == keys.max(axis=1, keepdims=True)).sum(axis=1) > 1
     exact = {}
     for i in np.flatnonzero(t2 * c2.max() ** 2 >= 2.0 ** 52).tolist():
         exact[i], tie[i] = _exact_best(vectors[i], candidates)
@@ -188,10 +189,10 @@ def rank_rows(texts, vectors: np.ndarray, candidates: Candidates, votes=None) ->
 
 
 def classify(text: str, names, encoder, candidates: Candidates) -> Prediction:
-    """Rank text against a session's candidates, which must name exactly names, in order."""
-    if candidates.names != tuple(names):
+    """Rank text against a session's candidates, which must hold exactly names, in any order."""
+    if candidates.names != tuple(sorted(names)):
         raise ValueError("candidates do not hold the names given")
-    return rank_rows([text], encoder.encode(text)[None], candidates).prediction(0)
+    return rank_rows([text], encoder.encode(text)[None], candidates).predictions()[0]
 
 
 def infer_batch(texts, subgraph: TaskSubgraph, candidates: Candidates, encoder) -> BatchInference:
@@ -212,17 +213,16 @@ def infer_batch(texts, subgraph: TaskSubgraph, candidates: Candidates, encoder) 
 
 def infer(raw_text: str, subgraph: TaskSubgraph, candidates: Candidates, encoder) -> Prediction:
     """infer_batch on one text, with the tally kept for diagnostics."""
-    return infer_batch([raw_text], subgraph, candidates, encoder).prediction(0)
+    return infer_batch([raw_text], subgraph, candidates, encoder).predictions()[0]
 
 
-def prediction_record(raw_text: str, pred: Prediction, relations, top_k: int = 3) -> dict:
+def prediction_record(raw_text: str, pred: Prediction, relations) -> dict:
     """JSON-ready per-sample diagnostic record."""
 
     def fmt(trip: ParsedTriplet) -> dict:
         return {"relations": [relations.name(r) for r in trip.relations], "tail": trip.tail}
 
     tally = pred.tally
-    top = list(pred.similarity_scores.items())[:top_k]
     return {
         "raw_text": raw_text,
         "matched": [{"triplet": fmt(t), "class": c} for t, c in tally.matched] if tally else [],
@@ -232,5 +232,6 @@ def prediction_record(raw_text: str, pred: Prediction, relations, top_k: int = 3
         "vote_tie": tally.is_tied() if tally else False,
         "final_class": pred.final_class,
         "similarity_tie": pred.tie,
-        "top_similarities": [[name, round(score, 6)] for name, score in top],
+        "top_similarities": [[name, round(score, 6)]
+                             for name, score in pred.similarity_scores.items()],
     }

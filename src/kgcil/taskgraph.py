@@ -173,7 +173,7 @@ def import_subgraph(path, graph: KnowledgeGraph) -> TaskSubgraph:
     """
     sub = TaskSubgraph(graph)
     max_task = -1
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # -sig drops a leading BOM
         for line_no, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#") or line == _EXPORT_HEADER:

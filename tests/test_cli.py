@@ -42,6 +42,16 @@ class TestClassesFile:
         path.write_text("# nothing here\n\n")
         assert parse_classes_file(path) == []
 
+    @pytest.mark.parametrize("head", ["", "# base task\n"], ids=["class-first", "comment-first"])
+    def test_leading_bom_is_dropped(self, capsys, fruit_tsv, tmp_path, head):
+        path = tmp_path / "classes.txt"
+        path.write_text(f"\ufeff{head}granny_smith\n\npineapple\n", encoding="utf-8")
+        assert parse_classes_file(path) == [["granny_smith"], ["pineapple"]]
+        code, out, _ = run_cli(capsys, "build", "--graph", str(fruit_tsv), "--classes", str(path),
+                               "--out", str(tmp_path / "sub.tsv"), "--strict")
+        assert code == EXIT_OK
+        assert json.loads(out)["unknown"] == []
+
 
 class TestIngest:
     def test_stats_json(self, capsys, fruit_tsv):

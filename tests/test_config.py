@@ -9,7 +9,9 @@ import pytest
 
 import kgcil
 
-from kgcil.config import ConfigError, load_run_config, validate_run_config
+from kgcil.config import RUN_CONFIG_SCHEMA, ConfigError, load_run_config, validate_run_config
+from kgcil.harness import CLASS_TEXT_MODES
+from kgcil.simulate import MODES
 
 
 def minimal(**overrides) -> dict:
@@ -28,6 +30,12 @@ def minimal(**overrides) -> dict:
 class TestValidate:
     def test_minimal_passes(self):
         assert validate_run_config(minimal()) is not None
+
+    def test_enums_are_the_code_tuples(self):
+        # the schema reads the tuples the code checks against, so the two cannot drift apart
+        props = RUN_CONFIG_SCHEMA["properties"]
+        assert props["class_text_mode"]["enum"] == list(CLASS_TEXT_MODES)
+        assert props["generator"]["properties"]["mode"]["enum"] == list(MODES)
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError):

@@ -24,7 +24,7 @@ from kgcil import (
     render_training_text,
     vote_head,
 )
-from kgcil.inference import rank_rows
+from kgcil.inference import TOP_K, rank_rows
 from kgcil.synthetic import class_name, synthetic_graph
 
 
@@ -178,10 +178,10 @@ class TestClassify:
         for _ in range(40):
             texts = [" ".join(rng.choice(words, size=int(rng.integers(0, 6))))
                      for _ in range(int(rng.integers(1, 8)))]
-            batch = rank_rows(texts, enc.encode_batch(texts), shared)
-            for i, text in enumerate(texts):
+            preds = rank_rows(texts, enc.encode_batch(texts), shared).predictions()
+            for text, got in zip(texts, preds):
                 fresh = rank_rows([text], enc.encode_batch([text]), candidate_set(names, enc))
-                got, want = batch.prediction(i), fresh.prediction(0)
+                want = fresh.predictions()[0]
                 assert got.final_class == want.final_class
                 assert got.tie == want.tie
                 assert list(got.similarity_scores.items()) == list(want.similarity_scores.items())
@@ -189,22 +189,45 @@ class TestClassify:
     def test_set_arrays_are_read_only(self):
         raw = np.array([[1.0, 2.0], [0.0, 3.0]])
         cands = Candidates(["b", "a"], raw)
-        for array in (cands.vectors, cands.c2, cands.rank):
+        in_order = Candidates(["a", "b"], raw)  # given sorted, it still holds its own rows
+        for array in (cands.vectors, cands.c2):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 7
         with pytest.raises(FrozenInstanceError):
             cands.c2 = np.zeros(2)
-        with pytest.raises(ValueError, match="read-only"):
-            raw[0] = 9.0  # the set keeps the array it was given, so no one writes it
-        assert cands.vectors.tolist() == [[1.0, 2.0], [0.0, 3.0]]
-        assert cands.names == ("b", "a")
-        assert cands.c2.tolist() == [5.0, 9.0]
-        assert cands.rank.tolist() == [1, 0]
+        raw[:] = 9.0  # the set holds its own rows: writing the caller's array leaves it as built
+        assert cands.names == ("a", "b")  # name order, each row moved along with its name
+        assert cands.vectors.tolist() == [[0.0, 3.0], [1.0, 2.0]]
+        assert cands.c2.tolist() == [9.0, 5.0]
+        assert in_order.vectors.tolist() == [[1.0, 2.0], [0.0, 3.0]]
 
     def test_classify_checks_the_set_names(self):
         enc = HashingEncoder(32)
-        with pytest.raises(ValueError, match="names"):
-            classify("pineapple", ["pineapple", "granny_smith"], enc, candidate_set(FRUIT, enc))
+        for names in (["pineapple", "apple"], ["pineapple"], FRUIT + ["apple"]):
+            with pytest.raises(ValueError, match="names"):
+                classify("pineapple", names, enc, candidate_set(FRUIT, enc))
+        # the set is sorted, so the same names in any order are accepted
+        pred = classify("pineapple", FRUIT[::-1], enc, candidate_set(FRUIT, enc))
+        assert pred.final_class == "pineapple"
+
+    def test_ranking_ignores_the_order_the_pairs_are_given_in(self):
+        # the set sorts its (name, vector) pairs, so every order ranks alike, also for
+        # rows past the 2^52 bound, which are ranked in Python integers
+        rng = np.random.default_rng(11)
+        names = [f"c{k}" for k in range(8)]
+        cand = rng.integers(0, 3, size=(8, 5)).astype(np.float64)
+        cand[6] = cand[1]  # one vector, two names: equal keys in every row
+        rows = rng.integers(0, 4, size=(6, 5)).astype(np.float64)
+        rows = np.vstack([rows, np.zeros((1, 5)), rows[:3] * 3.0**20])
+        results = []
+        for perm in (np.arange(8), np.arange(8)[::-1], rng.permutation(8)):
+            given = Candidates([names[j] for j in perm], cand[perm])
+            batch = rank_rows([""] * len(rows), rows, given)
+            assert sorted(batch.exact) == [7, 8, 9]  # the scaled rows are past the bound
+            results.append([(p.final_class, p.tie, list(p.similarity_scores.items()))
+                            for p in batch.predictions()])
+        assert results[0] == results[1] == results[2]
+        assert results[0][0][1] and results[0][7][1]  # a tie below the bound, and its copy past it
 
     def test_tie_goes_to_smallest_name_in_any_order(self):
         pred = classify_names("", ["pineapple", "granny_smith", "apple"], HashingEncoder(32))
@@ -215,6 +238,12 @@ class TestClassify:
         # raised when the set is built, before any text is ranked
         with pytest.raises(ValueError, match="distinct"):
             candidate_set(["beta", "alpha", "beta"], HashingEncoder(64))
+
+    def test_one_row_per_name(self):
+        # raised when the set is built: a row without a name, or a name without a row
+        for n_rows in (3, 1):
+            with pytest.raises(ValueError):
+                Candidates(["b", "a"], np.zeros((n_rows, 4)))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -235,6 +264,7 @@ class TestClassify:
         rows = np.array(rows, dtype=np.float64) * np.array(scales, dtype=np.float64)[:, None]
         names = [f"c{k}" for k in data.draw(st.permutations(range(m)))]
         ranking = rank_rows([""] * len(rows), rows, Candidates(names, cand))
+        preds = ranking.predictions()
         cand_ints = [[int(x) for x in c] for c in cand.tolist()]
         for i, row in enumerate(rows.tolist()):
             counts = [int(x) for x in row]
@@ -244,10 +274,12 @@ class TestClassify:
             top = sorted(name for name, key in keys.items() if key == max(keys.values()))
             assert ranking.final_class(i) == top[0]
             assert ranking.tie[i] == (len(top) > 1)
+            # the listed names are the first TOP_K of the exact order, ties to the smallest name
+            assert list(preds[i].similarity_scores) == sorted(names, key=lambda n: (-keys[n], n))[:TOP_K]
             t2 = sum(a * a for a in counts)
             if t2 * max(sum(b * b for b in c) for c in cand_ints) ** 2 < 2**52:
                 # reported cosines come from the same keys, so they order like the ranking
-                scores = ranking.prediction(i).similarity_scores
+                scores = preds[i].similarity_scores
                 assert min(scores, key=lambda n: (-scores[n], n)) == top[0]
                 assert scores[top[0]] == pytest.approx(float(keys[top[0]] / max(t2, 1)) ** 0.5)
         assert ranking.final_class(len(rows) - 1) == min(names)  # all-zero text: every key is 0
@@ -283,9 +315,8 @@ class TestInfer:
         batch = infer_batch(texts, fruit_sub, cands, enc)
         assert batch.vote_ms > 0.0  # the batch's own stage timers
         assert batch.classify_ms > 0.0
-        for i, text in enumerate(texts):
+        for text, got in zip(texts, batch.predictions()):
             single = infer(text, fruit_sub, cands, enc)
-            got = batch.prediction(i)
             assert got.final_class == single.final_class
             assert got.similarity_scores == single.similarity_scores
             assert got.tie == single.tie
@@ -318,7 +349,7 @@ class TestRecord:
         # past the 2^52 bound the three keys tie exactly, while their float cosines do not
         cand = np.array([[1, 0, 0, 1], [3, 0, 0, 3], [1, 0, 0, 1]], dtype=np.float64)
         row = np.array([[3**21, 2 * 3**20, 3**20, 0]], dtype=np.float64)
-        pred = rank_rows([""], row, Candidates(["b", "a", "c"], cand)).prediction(0)
+        pred = rank_rows([""], row, Candidates(["b", "a", "c"], cand)).predictions()[0]
         rec = prediction_record("", pred, None)
         assert rec["final_class"] == "a"
         assert rec["similarity_tie"] is True

@@ -179,6 +179,19 @@ class TestExport:
         assert {c: x.paths for c, x in b.assignments.items()} == {c: x.paths for c, x in a.assignments.items()}
         assert render_export(b) == render_export(a) == self.GOLDEN
 
+    @pytest.mark.parametrize("bom,newline,skip", [("\ufeff", "\n", 0), ("\ufeff", "\n", 2),
+                                                  ("", "\r\n", 0), ("\ufeff", "\r\n", 0)],
+                             ids=["bom", "bom-rows-only", "crlf", "bom+crlf"])
+    def test_roundtrip_with_bom_or_crlf(self, fruit_graph, tmp_path, bom, newline, skip):
+        # a leading UTF-8 BOM is not part of line 1, whether that line is the header or a row
+        sub = self.build(fruit_graph)
+        out = tmp_path / "sub.tsv"
+        rows = "".join(render_export(sub).splitlines(keepends=True)[skip:])
+        out.write_bytes((bom + rows).replace("\n", newline).encode("utf-8"))
+        back = import_subgraph(out, fruit_graph)
+        assert back.pair_to_class == sub.pair_to_class
+        assert render_export(back) == self.GOLDEN
+
     def test_import_rejects_foreign_rows(self, fruit_graph, tmp_path):
         out = tmp_path / "bad.tsv"
         out.write_text("0\tgranny_smith\tIsA\n", encoding="utf-8")
