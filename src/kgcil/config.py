@@ -46,7 +46,7 @@ RUN_CONFIG_SCHEMA = {
                 "p_drop": _PROB,
                 "p_swap": _PROB,
                 "p_hypernym": _PROB,
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
                 "filler": {"type": "boolean"},
             },
         },
@@ -58,7 +58,7 @@ RUN_CONFIG_SCHEMA = {
                 "dimension": {"type": "integer", "minimum": 1},
             },
         },
-        "orders": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
+        "orders": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
         "output_dir": {"type": "string"},
         "jobs": {"type": "integer", "minimum": 1},
         "compare_baseline": {"type": "boolean"},

@@ -12,10 +12,8 @@ mean and population std.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -226,67 +224,87 @@ class MetricsReport:
 
 # -- evaluation ------------------------------------------------------------
 
-_WORKER_CTX: dict | None = None
+@dataclass(frozen=True)
+class Session:
+    """One session's evaluation step, built once and read by every class batch."""
+
+    subgraph: TaskSubgraph
+    generator: TextGenerator
+    candidates: Candidates  # the classes seen so far
+    encoder: object
+    index: int
+    samples: int  # per class
+    order_seed: int | None  # diagnostics records name their order with it
+    diagnostics: bool
+
+    @classmethod
+    def build(cls, subgraph: TaskSubgraph, config: GeneratorConfig, encoder,
+              class_text_mode: str, index: int, samples: int, order_seed: int | None,
+              diagnostics: bool) -> "Session":
+        """The session's candidates are the subgraph's classes, each encoded as its class text."""
+        names = texts = subgraph.class_names()
+        if class_text_mode == "name_plus_triplets":
+            texts = [render_training_text(a, subgraph.graph) if a.paths else name
+                     for a, name in zip(subgraph.assignments.values(), names)]
+        return cls(subgraph, TextGenerator(subgraph.graph, subgraph, config),
+                   Candidates(names, encoder.encode_batch(texts)), encoder, index, samples,
+                   order_seed, diagnostics)
+
+    def evaluate(self, cname: str) -> dict:
+        """Evaluate one class's samples as one batch: rows 0 .. samples-1 of its stream."""
+        graph = self.subgraph.graph
+        cid = graph.entities.get(cname)
+        stream, rows = (self.index, cid), range(self.samples)
+        t0 = time.perf_counter()
+        try:
+            texts = self.generator.generate_batch(cid, stream, rows)
+        except NoAssignment:
+            texts = self.generator.generate_batch(cid, stream, rows, baseline=True)
+        gen_ms = (time.perf_counter() - t0) * 1000.0
+        batch = infer_batch(texts, self.subgraph, self.candidates, self.encoder)
+        records = None
+        if self.diagnostics:
+            where = {"order_seed": self.order_seed, "session": self.index, "true_class": cname}
+            records = [{**prediction_record(text, pred, graph.relations), **where, "sample": s}
+                       for s, (text, pred) in enumerate(zip(texts, batch.predictions()))]
+        return {
+            "name": cname,
+            "correct": sum(batch.final_class(s) == cname for s in rows),
+            "total": self.samples,
+            "chars": sum(map(len, texts)),
+            "generation_ms": gen_ms,
+            "vote_ms": batch.vote_ms,
+            "classify_ms": batch.classify_ms,
+            "records": records,
+        }
 
 
-def _eval_class(ctx: dict, cname: str) -> dict:
-    """Evaluate samples_per_class generations for one class as one batch."""
-    graph = ctx["graph"]
-    gen: TextGenerator = ctx["generator"]
-    cid = graph.entities.get(cname)
-    session = ctx["session"]
-    keys = [(session, cid, s) for s in range(ctx["samples"])]
-    t0 = time.perf_counter()
-    try:
-        texts = gen.generate_batch(cid, keys)
-    except NoAssignment:
-        texts = gen.generate_batch(cid, keys, baseline=True)
-    gen_ms = (time.perf_counter() - t0) * 1000.0
-    batch = infer_batch(texts, ctx["subgraph"], ctx["candidates"], ctx["encoder"])
-    records = None
-    if ctx["diagnostics"]:
-        where = {"order_seed": ctx["order_seed"], "session": session, "true_class": cname}
-        records = [{**prediction_record(text, pred, graph.relations), **where, "sample": s}
-                   for s, (text, pred) in enumerate(zip(texts, batch.predictions()))]
-    return {
-        "name": cname,
-        "correct": sum(batch.final_class(s) == cname for s in range(len(texts))),
-        "total": ctx["samples"],
-        "chars": sum(map(len, texts)),
-        "generation_ms": gen_ms,
-        "vote_ms": batch.vote_ms,
-        "classify_ms": batch.classify_ms,
-        "records": records,
-    }
+_WORKER_SESSION: Session | None = None
 
 
-def _eval_class_worker(cname: str) -> dict:
-    return _eval_class(_WORKER_CTX, cname)
+def _evaluate_worker(cname: str) -> dict:
+    return _WORKER_SESSION.evaluate(cname)
 
 
-def _evaluate_session(ctx: dict, seen: list[str], jobs: int) -> list[dict]:
-    if jobs <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_eval_class(ctx, c) for c in seen]
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
-    try:
-        # fork inherits the context without pickling it per task; a class's
-        # texts come from its own (seed, session, class) stream, so which
-        # worker draws them does not change them
-        mp = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=mp) as pool:
-            return list(pool.map(_eval_class_worker, seen))
-    finally:
-        _WORKER_CTX = None
+def _evaluate_session(session: Session, seen: list[str], jobs: int) -> list[dict]:
+    if jobs > 1:
+        # imported here: the pool's modules are most of this module's import time
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-
-def _candidates(subgraph: TaskSubgraph, encoder, class_text_mode: str) -> Candidates:
-    """The subgraph's classes in allocation order, each encoded as its class text."""
-    names = texts = subgraph.class_names()
-    if class_text_mode == "name_plus_triplets":
-        texts = [render_training_text(a, subgraph.graph) if a.paths else name
-                 for a, name in zip(subgraph.assignments.values(), names)]
-    return Candidates(names, encoder.encode_batch(texts))
+        if "fork" in multiprocessing.get_all_start_methods():
+            global _WORKER_SESSION
+            _WORKER_SESSION = session
+            try:
+                # fork inherits the session without pickling it per task; a class's
+                # texts come from its own (seed, session, class) stream, so which
+                # worker draws them does not change them
+                mp = multiprocessing.get_context("fork")
+                with ProcessPoolExecutor(max_workers=jobs, mp_context=mp) as pool:
+                    return list(pool.map(_evaluate_worker, seen))
+            finally:
+                _WORKER_SESSION = None
+    return [session.evaluate(c) for c in seen]
 
 
 def run_experiment(graph: KnowledgeGraph, schedule: TaskSchedule,
@@ -337,19 +355,9 @@ def _run_order(graph, schedule, names, generator, r_target, encoder, seed,
         seen.extend(sess_classes)
         if t == 0:
             base = list(sess_classes)
-        gen = TextGenerator(graph, sub, generator)
-        ctx = {
-            "graph": graph,
-            "generator": gen,
-            "subgraph": sub,
-            "candidates": _candidates(sub, encoder, class_text_mode),  # the classes seen so far
-            "encoder": encoder,
-            "samples": schedule.samples_per_class,
-            "session": t,
-            "order_seed": seed,
-            "diagnostics": diag is not None,
-        }
-        rows = _evaluate_session(ctx, seen, jobs)
+        session = Session.build(sub, generator, encoder, class_text_mode, t,
+                               schedule.samples_per_class, seed, diag is not None)
+        rows = _evaluate_session(session, seen, jobs)
         per_class = {row["name"]: [row["correct"], row["total"]] for row in rows}
         n_total = sum(v[1] for v in per_class.values())
         n_correct = sum(v[0] for v in per_class.values())
@@ -431,13 +439,10 @@ def bench(graph: KnowledgeGraph, subgraph: TaskSubgraph, n_samples: int = 1000,
     assigned = [graph.entities.name(cid) for cid, a in subgraph.assignments.items() if a.paths]
     if not assigned or n_samples < 1:
         return BenchReport(n_samples, len(subgraph.assignments), *[0.0] * 6, seed)
-    encoder = HashingEncoder()
-    ctx = {"graph": graph, "subgraph": subgraph, "encoder": encoder,
-           "candidates": _candidates(subgraph, encoder, "name"),
-           "generator": TextGenerator(graph, subgraph, GeneratorConfig(seed=seed, **_BENCH_GENERATOR)),
-           "session": 0, "diagnostics": False}
     per_class, extra = divmod(n_samples, len(assigned))
-    rows = [_eval_class(dict(ctx, samples=per_class + (k < extra)), name)
+    session = Session.build(subgraph, GeneratorConfig(seed=seed, **_BENCH_GENERATOR),
+                           HashingEncoder(), "name", 0, per_class, None, False)
+    rows = [replace(session, samples=per_class + (k < extra)).evaluate(name)
             for k, name in enumerate(assigned[:n_samples])]
     paths = sum(len(a.paths) for a in subgraph.assignments.values())
     return BenchReport(

@@ -51,7 +51,6 @@ class VoteTally:
 @dataclass
 class Prediction:
     final_class: str
-    augmented_text: str
     similarity_scores: dict[str, float]  # the top TOP_K in ranking order, final_class first
     tie: bool
     graph_head: str | None = None
@@ -118,7 +117,6 @@ def encode_candidates(names, encoder) -> Candidates:
 class BatchInference:
     """Ranked texts; row i of every per-text field belongs to the i-th text."""
 
-    augmented: list[str]
     votes: list[tuple[VoteTally | None, str | None]]
     candidates: Candidates  # its names are the column order of keys
     keys: np.ndarray  # rank keys d²/c2, texts x candidates (see rank_rows)
@@ -143,10 +141,10 @@ class BatchInference:
         t2 = np.maximum(self.t2, 1.0)[:, None]
         cosines = np.sqrt(np.take_along_axis(self.keys, top, axis=1) / t2).tolist()
         names = self.candidates.names
-        return [Prediction(names[cols[0]], text, dict(zip([names[j] for j in cols], scores)),
+        return [Prediction(names[cols[0]], dict(zip([names[j] for j in cols], scores)),
                            tie, graph_head=head, tally=tally)
-                for cols, scores, text, tie, (tally, head)
-                in zip(top.tolist(), cosines, self.augmented, self.tie.tolist(), self.votes)]
+                for cols, scores, tie, (tally, head)
+                in zip(top.tolist(), cosines, self.tie.tolist(), self.votes)]
 
 
 def _exact_best(row: np.ndarray, candidates: Candidates) -> tuple[np.ndarray, bool]:
@@ -161,7 +159,7 @@ def _exact_best(row: np.ndarray, candidates: Candidates) -> tuple[np.ndarray, bo
     return np.array(order), len(order) > 1 and keys[order[0]] == keys[order[1]]
 
 
-def rank_rows(texts, vectors: np.ndarray, candidates: Candidates, votes=None) -> BatchInference:
+def rank_rows(vectors: np.ndarray, candidates: Candidates, votes=None) -> BatchInference:
     """Rank rows of token counts against the candidates by cosine; ties go to the smallest name.
 
     Counts are non-negative integers, so a row's dot products d and the
@@ -184,15 +182,15 @@ def rank_rows(texts, vectors: np.ndarray, candidates: Candidates, votes=None) ->
     for i in np.flatnonzero(t2 * c2.max() ** 2 >= 2.0 ** 52).tolist():
         exact[i], tie[i] = _exact_best(vectors[i], candidates)
         best[i] = exact[i][0]
-    return BatchInference(list(texts), votes or [(None, None)] * len(texts), candidates,
-                          keys, t2, best, tie, exact)
+    return BatchInference(votes or [(None, None)] * len(vectors), candidates, keys, t2, best,
+                          tie, exact)
 
 
 def classify(text: str, names, encoder, candidates: Candidates) -> Prediction:
     """Rank text against a session's candidates, which must hold exactly names, in any order."""
     if candidates.names != tuple(sorted(names)):
         raise ValueError("candidates do not hold the names given")
-    return rank_rows([text], encoder.encode(text)[None], candidates).predictions()[0]
+    return rank_rows(encoder.encode(text)[None], candidates).predictions()[0]
 
 
 def infer_batch(texts, subgraph: TaskSubgraph, candidates: Candidates, encoder) -> BatchInference:
@@ -206,7 +204,7 @@ def infer_batch(texts, subgraph: TaskSubgraph, candidates: Candidates, encoder) 
     votes = [vote_head(triplets, subgraph) for triplets in parsed]
     t1 = time.perf_counter()
     augmented = [augment_text(t, head) for t, (_, head) in zip(texts, votes)]
-    batch = rank_rows(augmented, encoder.encode_batch(augmented), candidates, votes)
+    batch = rank_rows(encoder.encode_batch(augmented), candidates, votes)
     batch.vote_ms, batch.classify_ms = (t1 - t0) * 1000.0, (time.perf_counter() - t1) * 1000.0
     return batch
 

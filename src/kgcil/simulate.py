@@ -9,12 +9,13 @@ Stands in for a fine-tuned captioning model at evaluation time. Three modes:
 * baseline_gmm: a bare caption, "This is a photo of <mention>", where the
   mention collapses to a hypernym or confusable class with p_hypernym.
 
-Randomness is one PCG64 stream per (seed, session, class). The harness's
-sample key (session, class id, s) reads row s of that stream, and each mode
-lays a row out in fixed columns (see _uniforms, _corrupted, _baseline). A
-text thus depends only on the seed and its key: not on the batch it is drawn
-in, nor on the process, so results are the same for any --jobs and a one-key
-generate() replays its row of the class batch.
+Randomness is one PCG64 stream per (seed, session, class). The harness
+draws a class's samples as the slice of rows 0 .. n-1 of that stream, and
+sample key (session, class id, s) names row s; each mode lays a row out in
+fixed columns (see _uniforms, _corrupted, _baseline). A text thus depends
+only on the seed and its key: not on the slice it is drawn in, nor on the
+process, so results are the same for any --jobs and a one-key generate()
+replays its row of the class batch.
 """
 
 from __future__ import annotations
@@ -96,30 +97,24 @@ def build_confusables(subgraph: TaskSubgraph, graph: KnowledgeGraph) -> dict[str
     }
 
 
-def _uniforms(seed: int, sample_keys, width: int) -> np.ndarray:
-    """Row r of stream PCG64((seed, *stream)) for every key (*stream, r), shape (len, width).
+def _uniforms(seed: int, stream: tuple, rows: range, width: int) -> np.ndarray:
+    """The rows, a step-1 range, of stream PCG64((seed, *stream)); shape (len(rows), width).
 
-    A key is an int or a tuple of ints; its last int is the row. Row r is the
-    stream's doubles r*width .. r*width + width - 1, so a key's row does not
-    depend on which keys share its batch. One generator, one advance and one
-    draw serve all keys of a stream, over the rows from its least to its
-    greatest. Raises ValueError on a negative int, as SeedSequence does.
+    Row r is the stream's doubles r*width .. r*width + width - 1, so a row
+    does not depend on which rows share its slice: one advance to the first
+    row and one draw. Raises ValueError on a negative int, as SeedSequence does.
     """
-    keys = [tuple(map(int, k)) if isinstance(k, (tuple, list)) else (int(k),)
-            for k in sample_keys]
-    if any(v < 0 for key in keys for v in key):
+    if rows.start < 0:
         raise ValueError("expected non-negative integer")  # advance() would wrap a negative row
-    streams: dict[tuple, list[int]] = {}
-    for i, key in enumerate(keys):
-        streams.setdefault(key[:-1], []).append(i)
-    out = np.empty((len(keys), width))
-    for stream, idx in streams.items():
-        rows = np.array([keys[i][-1] for i in idx])
-        lo = int(rows.min())
-        bitgen = np.random.PCG64((seed, *stream))
-        bitgen.advance(lo * width)
-        out[idx] = np.random.Generator(bitgen).random((int(rows.max()) - lo + 1, width))[rows - lo]
-    return out
+    bitgen = np.random.PCG64((seed, *stream))
+    bitgen.advance(rows.start * width)
+    return np.random.Generator(bitgen).random((len(rows), width))
+
+
+def _one_row(sample_key) -> tuple[tuple, range]:
+    """A sample key, an int or a tuple of ints, as a stream and a one-row slice: its last int."""
+    *stream, row = sample_key if isinstance(sample_key, tuple) else (sample_key,)
+    return tuple(stream), range(row, row + 1)
 
 
 class TextGenerator:
@@ -140,8 +135,9 @@ class TextGenerator:
             hyp = [graph.entities.name(f.tail) for f in graph.facts_of(cid) if f.relation == isa]
             self._hypernyms[cid] = hyp
 
-    def generate_batch(self, class_id: int, sample_keys, baseline: bool = False) -> list[str]:
-        """One description per sample key, each as generate() gives it alone.
+    def generate_batch(self, class_id: int, stream: tuple, rows: range,
+                       baseline: bool = False) -> list[str]:
+        """One description per row of the stream slice, each as generate() gives it alone.
 
         baseline=True draws bare captions whatever the configured mode (the
         harness's fallback for a class with no paths).
@@ -153,19 +149,19 @@ class TextGenerator:
             )
         if mode == "oracle":
             text = render_training_text(self.subgraph.assignments[class_id], self.graph)
-            return [text] * len(sample_keys)
+            return [text] * len(rows)
         if mode == "baseline_gmm":
-            return self._baseline(class_id, _uniforms(self.config.seed, sample_keys, 2))
+            return self._baseline(class_id, _uniforms(self.config.seed, stream, rows, 2))
         width = 6 * len(self._clauses[class_id]) + 2
-        return self._corrupted(class_id, _uniforms(self.config.seed, sample_keys, width))
+        return self._corrupted(class_id, _uniforms(self.config.seed, stream, rows, width))
 
     def generate(self, class_id: int, sample_key) -> str:
         """One description for the class; deterministic per (seed, sample_key)."""
-        return self.generate_batch(class_id, [sample_key])[0]
+        return self.generate_batch(class_id, *_one_row(sample_key))[0]
 
     def baseline_text(self, class_id: int, sample_key) -> str:
         """Baseline caption regardless of configured mode (shortfall fallback)."""
-        return self.generate_batch(class_id, [sample_key], baseline=True)[0]
+        return self.generate_batch(class_id, *_one_row(sample_key), baseline=True)[0]
 
     def _baseline(self, cid: int, u: np.ndarray) -> list[str]:
         """Captions from columns collapse, mention pick."""

@@ -84,6 +84,14 @@ class TestValidate:
         with pytest.raises(ConfigError, match="orders"):
             validate_run_config(minimal(orders=[]))
 
+    @pytest.mark.parametrize("key,overrides", [
+        ("generator/seed", {"generator": {"mode": "corrupted", "seed": -1}}),
+        ("orders/1", {"orders": [0, -2]}),
+    ], ids=["generator_seed", "orders"])
+    def test_negative_seed_rejected_by_key(self, key, overrides):
+        with pytest.raises(ConfigError, match=key):
+            validate_run_config(minimal(**overrides))
+
     def test_error_reports_first_by_path(self):
         doc = minimal(generator={"mode": "psychic"}, r_target=0)
         with pytest.raises(ConfigError, match="generator"):
@@ -124,6 +132,15 @@ def test_cli_import_leaves_jsonschema_unloaded():
     # jsonschema is imported on the first validation, not with the CLI
     src = os.path.dirname(os.path.dirname(os.path.abspath(kgcil.__file__)))
     code = "import sys, kgcil.cli; print('jsonschema' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # the process pool is imported only when a run asks for more than one job
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kgcil.__file__)))
+    code = "import sys, kgcil.cli; print('concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"

@@ -11,10 +11,12 @@ from kgcil import (
     GeneratorConfig,
     HashingEncoder,
     MetricsReport,
+    NoAssignment,
     OrderResult,
     SessionResult,
     TaskSchedule,
     TaskSubgraph,
+    TextGenerator,
     UnknownClass,
     bench,
     compute_hacc,
@@ -196,6 +198,33 @@ class TestRunExperiment:
         rec = json.loads(lines[0])
         for key in ("raw_text", "final_class", "true_class", "session", "order_seed"):
             assert key in rec
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_records_replay_one_key_generate(self, small_graph, small_schedule, tmp_path, jobs):
+        # the sample address a per-sample replay relies on: record s of class c in
+        # session t is row s of stream (t, c), as a one-key generate() draws it
+        cfg = GeneratorConfig(p_drop=0.3, p_swap=0.3, seed=6, filler=True)
+        path = tmp_path / "diagnostics.jsonl"
+        run_experiment(small_graph, small_schedule, cfg, 3, HashingEncoder(64), orders=[2],
+                       jobs=jobs, diagnostics_path=path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        names = small_schedule.classes
+        ordered = [names[i] for i in np.random.default_rng(2).permutation(len(names))]
+        sub = TaskSubgraph(small_graph)
+        checked = 0
+        for t, new in enumerate(small_schedule.split(ordered)):
+            extend_subgraph(sub, new, small_graph, 3)
+            gen = TextGenerator(small_graph, sub, cfg)
+            for rec in (r for r in records if r["session"] == t):
+                cid = small_graph.entities.get(rec["true_class"])
+                key = (t, cid, rec["sample"])
+                try:
+                    want = gen.generate(cid, key)
+                except NoAssignment:
+                    want = gen.baseline_text(cid, key)
+                assert rec["raw_text"] == want
+                checked += 1
+        assert checked == len(records) == 4 * (4 + 8 + 12)
 
     def test_report_carries_caveat_and_config(self, small_graph, small_schedule):
         report = run_experiment(

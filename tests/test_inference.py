@@ -178,9 +178,9 @@ class TestClassify:
         for _ in range(40):
             texts = [" ".join(rng.choice(words, size=int(rng.integers(0, 6))))
                      for _ in range(int(rng.integers(1, 8)))]
-            preds = rank_rows(texts, enc.encode_batch(texts), shared).predictions()
+            preds = rank_rows(enc.encode_batch(texts), shared).predictions()
             for text, got in zip(texts, preds):
-                fresh = rank_rows([text], enc.encode_batch([text]), candidate_set(names, enc))
+                fresh = rank_rows(enc.encode_batch([text]), candidate_set(names, enc))
                 want = fresh.predictions()[0]
                 assert got.final_class == want.final_class
                 assert got.tie == want.tie
@@ -222,7 +222,7 @@ class TestClassify:
         results = []
         for perm in (np.arange(8), np.arange(8)[::-1], rng.permutation(8)):
             given = Candidates([names[j] for j in perm], cand[perm])
-            batch = rank_rows([""] * len(rows), rows, given)
+            batch = rank_rows(rows, given)
             assert sorted(batch.exact) == [7, 8, 9]  # the scaled rows are past the bound
             results.append([(p.final_class, p.tie, list(p.similarity_scores.items()))
                             for p in batch.predictions()])
@@ -263,7 +263,7 @@ class TestClassify:
                                     max_size=len(rows)))  # the larger ones pass the 2^52 bound
         rows = np.array(rows, dtype=np.float64) * np.array(scales, dtype=np.float64)[:, None]
         names = [f"c{k}" for k in data.draw(st.permutations(range(m)))]
-        ranking = rank_rows([""] * len(rows), rows, Candidates(names, cand))
+        ranking = rank_rows(rows, Candidates(names, cand))
         preds = ranking.predictions()
         cand_ints = [[int(x) for x in c] for c in cand.tolist()]
         for i, row in enumerate(rows.tolist()):
@@ -303,7 +303,6 @@ class TestInfer:
         pred = infer(raw, fruit_sub, candidate_set(FRUIT, enc), enc)
         plain = classify_names(raw, FRUIT, enc)
         assert pred.graph_head is None
-        assert pred.augmented_text == raw
         assert pred.final_class == plain.final_class
         assert pred.similarity_scores == plain.similarity_scores
 
@@ -322,7 +321,6 @@ class TestInfer:
             assert got.tie == single.tie
             assert got.graph_head == single.graph_head
             assert got.tally == single.tally
-            assert got.augmented_text == single.augmented_text
 
     def test_batch_empty_candidates(self, fruit_sub):
         enc = HashingEncoder(16)
@@ -349,7 +347,7 @@ class TestRecord:
         # past the 2^52 bound the three keys tie exactly, while their float cosines do not
         cand = np.array([[1, 0, 0, 1], [3, 0, 0, 3], [1, 0, 0, 1]], dtype=np.float64)
         row = np.array([[3**21, 2 * 3**20, 3**20, 0]], dtype=np.float64)
-        pred = rank_rows([""], row, Candidates(["b", "a", "c"], cand)).predictions()[0]
+        pred = rank_rows(row, Candidates(["b", "a", "c"], cand)).predictions()[0]
         rec = prediction_record("", pred, None)
         assert rec["final_class"] == "a"
         assert rec["similarity_tie"] is True

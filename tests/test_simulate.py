@@ -254,19 +254,20 @@ def test_negative_key_raises_like_default_rng(key, fruit_graph, fruit_sub):
     cid = fruit_graph.entity_id("granny_smith")
     with pytest.raises(ValueError):
         gen.generate(cid, key)
+    *stream, row = key if isinstance(key, tuple) else (key,)
     with pytest.raises(ValueError):
-        gen.generate_batch(cid, [(1, 2), key])
+        gen.generate_batch(cid, tuple(stream), range(row, row + 3))
 
 
 def test_uniform_rows_are_stream_slices():
-    keys = [(4, 9, 3), (4, 9, 0), (1, 7), (4, 9, 6), 5, (4, 9, 3), (2**40, 1, 2)]
-    u = _uniforms(13, keys, 4)
-    assert u.shape == (len(keys), 4)
-    for key, row in zip(keys, u):
-        *stream, r = key if isinstance(key, tuple) else (key,)
-        want = np.random.default_rng((13, *stream)).random((r + 1) * 4)[r * 4:]
-        assert row.tolist() == want.tolist()
-        assert _uniforms(13, [key], 4)[0].tolist() == want.tolist()
+    for stream, rows in [((4, 9), range(0, 7)), ((4, 9), range(3, 6)), ((1,), range(7, 8)),
+                         ((), range(5, 6)), ((2**40, 1), range(2, 4)), ((3,), range(2, 2))]:
+        u = _uniforms(13, stream, rows, 4)
+        assert u.shape == (len(rows), 4)
+        whole = np.random.default_rng((13, *stream)).random((rows.stop, 4))
+        assert u.tolist() == whole[rows.start:].tolist()
+        for r, row in zip(rows, u):
+            assert _uniforms(13, stream, range(r, r + 1), 4)[0].tolist() == row.tolist()
 
 
 def test_corruption_rates_match_probabilities(fruit_graph, fruit_sub):
@@ -281,7 +282,7 @@ def test_corruption_rates_match_probabilities(fruit_graph, fruit_sub):
     assert not any(t.startswith("it ") for t in load_filler_templates())
     n = -(-100_000 // len(own))
     clauses = kept = swapped = between = 0
-    for text in gen.generate_batch(cid, [(0, cid, s) for s in range(n)]):
+    for text in gen.generate_batch(cid, (0, cid), range(n)):
         sentences = [x.strip() for x in text.split(".") if x.strip()]
         said = [x for x in sentences if x.startswith("it ")]
         assert set(said) <= own | other
@@ -299,9 +300,11 @@ def test_generate_batch_equals_one_key_calls(mode, fruit_graph, fruit_sub):
     gen = make_gen(fruit_graph, fruit_sub, mode=mode, p_drop=0.4, p_swap=0.4, p_hypernym=0.5,
                    filler=True, seed=11)
     cid = fruit_graph.entity_id("pineapple")
-    keys = [(2, cid, s) for s in range(30)] + [(0, cid, 4), (2, cid, 3), (1, cid, 0)]
-    assert gen.generate_batch(cid, keys) == [gen.generate(cid, k) for k in keys]
-    assert gen.generate_batch(cid, keys, baseline=True) == [gen.baseline_text(cid, k) for k in keys]
+    for stream, rows in [((2, cid), range(30)), ((2, cid), range(17, 23)), ((0, cid), range(4, 5))]:
+        keys = [(*stream, s) for s in rows]
+        assert gen.generate_batch(cid, stream, rows) == [gen.generate(cid, k) for k in keys]
+        assert (gen.generate_batch(cid, stream, rows, baseline=True)
+                == [gen.baseline_text(cid, k) for k in keys])
 
 
 def test_cli_import_leaves_numpy_random_unloaded():
