@@ -14,6 +14,7 @@ import codecs
 import re
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -192,6 +193,14 @@ class KnowledgeGraph:
         self._r = rels
         self._t = tails
         self._ne = max(len(entities), 1)
+        self.stats = stats
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(relation * n_entities + tail, head) of every fact, by pair then head.
+
+        Built on the first heads_for call, so a load that never asks pays nothing.
+        """
         # facts are distinct, so sorting the packed (pair, head) key orders them
         # exactly as a lexsort by pair then head would
         by_pair = self._r * self._ne
@@ -199,8 +208,9 @@ class KnowledgeGraph:
         by_pair *= self._ne
         by_pair += self._h
         by_pair.sort()
-        self._pair_keys, self._pair_heads = np.divmod(by_pair, self._ne)
-        self.stats = stats
+        heads = by_pair % self._ne
+        by_pair //= self._ne  # in place: the index never holds three such arrays at once
+        return by_pair, heads
 
     @classmethod
     def from_facts(cls, triples) -> "KnowledgeGraph":
@@ -210,7 +220,7 @@ class KnowledgeGraph:
         and filtering as the TSV loader.
         """
         triples = [tuple(triple) for triple in triples]
-        columns = [_name_column([h for h, _, _ in triples] + [t for _, _, t in triples]),
+        columns = [_name_column([name for h, _, t in triples for name in (h, t)]),
                    _name_column([r for _, r, _ in triples])]
         return _ingest(columns, lambda i: ValueError(f"empty name in triple {triples[i]!r}"))
 
@@ -246,10 +256,10 @@ class KnowledgeGraph:
         """Every head h with (h, relation, tail) in the graph; empty when unknown."""
         if not (0 <= relation < len(self.relations) and 0 <= tail < self._ne):
             return set()
+        keys, heads = self._pairs
         key = relation * self._ne + tail
-        lo = self._pair_keys.searchsorted(key, "left")
-        hi = self._pair_keys.searchsorted(key, "right")
-        return set(self._pair_heads[lo:hi].tolist())
+        lo, hi = keys.searchsorted((key, key + 1)).tolist()
+        return set(heads[lo:hi].tolist())
 
     def two_hop_facts(self, head: int, limit: int = 1000) -> list[tuple[tuple[int, int], int]]:
         """Relation chains head -> mid -> tail with tail outside {head, mid}.
@@ -325,14 +335,18 @@ def _byte_column(data: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list
         widths = _row_width(lens)
         order = np.argsort(widths, kind="stable")
         blocks = np.split(order, np.flatnonzero(np.diff(widths[order])) + 1)
+    # the 8 bytes from every offset of data, read as one unaligned word
+    words = np.ndarray((len(data) - 7,), np.uint64, data, strides=(1,))
     column = []
     for at in blocks:
         block_lens = lens[at]
         width = int(_row_width(block_lens.max(initial=0)))
-        rows = np.lib.stride_tricks.sliding_window_view(data, width)[starts[at]]
+        rows = np.empty((len(block_lens), width // 8), np.uint64)
+        for j in range(width // 8):
+            rows[:, j] = words[starts[at] + 8 * j]
         # only the last word of a row can hold padding
-        rows[:, width - 8:].view(np.uint64)[:, 0] |= _PAD_MASKS[block_lens - (width - 8)]
-        column.append((at, rows))
+        rows[:, -1] |= _PAD_MASKS[block_lens - (width - 8)]
+        column.append((at, rows.view(np.uint8)))
     return column
 
 
@@ -366,7 +380,7 @@ def _read_tsv(path):
     """Scan a TSV file into name columns with NumPy, one row per data line.
 
     Returns ([entities, relations], line_no, first_short); entities holds
-    every head and then every tail, and first_short is (row, field count) of
+    each head followed by its tail, and first_short is (row, field count) of
     the first line without exactly three fields, or None. Such a line gets
     empty names, so the core reports it. Only lines that start with
     whitespace, '#' or a non-ASCII byte are decoded in Python, to apply the
@@ -418,91 +432,154 @@ def _read_tsv(path):
     tab1 -= starts
     tab2 += 1
     ends -= tab2
-    ent_starts = np.concatenate((starts, tab2))
+    ent_starts = np.stack((starts, tab2), axis=1).ravel()  # each head, then its tail
     del starts, tab2
-    ent_lens = np.concatenate((tab1, ends))
+    ent_lens = np.stack((tab1, ends), axis=1)
     del tab1, ends
-    ent_lens[np.concatenate((short, short + len(lines)))] = 0
-    entities = _byte_column(data, ent_starts, ent_lens)
+    ent_lens[short] = 0
+    entities = _byte_column(data, ent_starts, ent_lens.ravel())
     return [entities, relations], lines + 1, first_short
 
 
-def _group(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ids for the distinct values of key, and one position of each id."""
-    order = np.argsort(key)
-    sorted_key = key[order]
-    new = np.empty(len(key), bool)
-    new[:1] = True
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=new[1:])
-    del sorted_key
-    ranks = np.cumsum(new)
-    ranks -= 1
-    ids = np.empty(len(key), np.int64)
-    ids[order] = ranks
-    return ids, order[new]
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids for the distinct rows of a block, and the first position of each id.
+
+    One np.sort groups the rows. Each row becomes one word: its _row_keys
+    times _MIX in the high bits and its position in the low p bits, so equal
+    rows form one run of equal high bits, in position order. Rows of a run
+    that differ (distinct keys sharing the high bits, or wide rows sharing a
+    key) are split exactly: only those runs are ordered again, by a stable
+    lexsort of their words. Ids count up in order of first position.
+    """
+    m = len(rows)
+    # ids outlive every array below: made first, they do not keep the heap
+    # those arrays leave from being returned to the system
+    ids = np.empty(m, np.int64)
+    p = max(m - 1, 0).bit_length()
+    low = (1 << p) - 1
+    packed = _row_keys(rows)
+    packed *= _MIX
+    packed &= np.uint64(~low & 0xFFFFFFFFFFFFFFFF)
+    packed |= np.arange(m, dtype=np.uint64)
+    packed.sort()
+    order = (packed & np.uint64(low)).view(np.int64)
+    packed >>= p
+    new = np.ones(m, bool)
+    np.not_equal(packed[1:], packed[:-1], out=new[1:])
+    del packed
+    # a run must hold equal rows: compare each sorted row with the one before
+    words = rows.view(np.uint64)
+    clash = np.zeros(max(m - 1, 0), bool)
+    for word in words.T:
+        sorted_word = word[order]
+        clash |= sorted_word[1:] != sorted_word[:-1]
+    del sorted_word
+    clash &= ~new[1:]
+    run = np.cumsum(new)
+    if clash.any():
+        clashed = np.zeros(run[-1] + 1, bool)
+        clashed[run[1:][clash]] = True
+        at = np.flatnonzero(clashed[run])
+        sub = order[at]
+        # by run first, so each run keeps its slots; stable, so equal rows stay in position order
+        order[at] = sub[np.lexsort((*words[sub].T[::-1], run[at]))]
+        inner = at[~new[at]]
+        new[inner] = (words[order[inner]] != words[order[inner - 1]]).any(axis=1)
+        run = np.cumsum(new)
+    del clash
+    run -= 1
+    # number the runs in order of their first rows
+    first = order[new]
+    by_first = np.argsort(first)
+    run_id = np.empty(len(first), np.int64)
+    run_id[by_first] = np.arange(len(first))
+    ids[order] = run_id[run]
+    return ids, first[by_first]
 
 
 def _intern_column(column: list, size: int, normalize, plain: np.ndarray):
     """Give each distinct normalized name of a column one id.
 
-    Equal rows of a block are grouped with integer sorts; only names with a
-    byte outside plain are decoded and normalized in Python, and names that
-    then coincide are merged. Returns (id of each of the size names, (array
-    of the name of each id, array of their _row_keys)); ids follow no
-    particular order.
+    Equal rows of a block are grouped by _group_rows. Only names with a byte
+    outside plain are decoded and normalized in Python; _merge_normalized
+    then merges each into any name it now equals. Returns (id of each of the
+    size names, first position of each id, array of the name of each id,
+    array of their _row_keys); the ids of a block count up in order of first
+    position, and an id merged away has no rows.
     """
-    parts = []
-    names = []
-    keys = []
-    normalized = False
+    ids = None if len(column) == 1 else np.empty(size, np.int64)
+    firsts, names, keys, odd_ids, odd_names = [], [], [], [], []
+    base = 0
     for at, rows in column:
-        words = rows.view(np.uint64)
-        key = words[:, 0]
-        for word in words.T[1:]:
-            # one key for (leading words, next word): both dense ids below len(key)
-            key = _group(key)[0] * len(key) + _group(word)[0]
-        row_ids, first = _group(key)
-        row_ids += sum(map(len, names))
-        parts.append((at, row_ids))
-        del words, key, row_ids
+        row_ids, first = _group_rows(rows)
         urows = rows[first]
+        if ids is None:
+            ids = row_ids  # one block holds the whole column in order
+        else:
+            row_ids += base
+            ids[at] = row_ids
+            first = at[first]
+        del row_ids
+        firsts.append(first)
         keys.append(_row_keys(urows))
         live = urows != _PAD
         odd = (live & ~plain[urows]).any(axis=1)
-        urows[~live] = 0
-        block = np.where(odd, b"", urows.view(f"S{urows.shape[1]}").ravel()).astype(str)
         if odd.any():
-            block = block.astype(object)  # a str array would drop trailing NULs
             lens = live.sum(axis=1)
-            odd = np.flatnonzero(odd)
-            for i in odd.tolist():
-                block[i] = normalize(urows[i, :lens[i]].tobytes().decode("utf-8", "surrogatepass"))
-            keys[-1][odd] = np.fromiter(map(_key, block[odd]), np.uint64)
-            normalized = True
-        names.append(block)
-    if len(parts) == 1:
-        ids = parts[0][1]  # one block holds the whole column in order
-    else:
-        ids = np.empty(size, np.int64)
-        for at, row_ids in parts:
-            ids[at] = row_ids
-    del parts
+            for i in np.flatnonzero(odd).tolist():
+                odd_ids.append(base + i)
+                odd_names.append(normalize(urows[i, :lens[i]].tobytes().decode("utf-8", "surrogatepass")))
+        # the rest are ASCII, so each byte is its code point; NULs end a str
+        urows[~live | odd[:, None]] = 0
+        names.append(urows.astype(np.uint32).view(f"U{urows.shape[1]}").ravel())
+        base += len(first)
     # one block keeps its fixed-width str array, so no str object is made per name
     names = names[0] if len(names) == 1 else np.concatenate([b.astype(object) for b in names])
-    keys = np.concatenate(keys)
-    if not normalized:
-        return ids, (names, keys)
-    index: dict[str, int] = {}
-    merged = np.array([index.setdefault(name, len(index)) for name in names], np.int64)
-    merged_keys = np.empty(len(index), np.uint64)
-    merged_keys[merged] = keys  # names merged into one had one key already
-    return merged[ids], (np.array(list(index), dtype=object), merged_keys)
+    interned = (ids, np.concatenate(firsts), names, np.concatenate(keys))
+    return _merge_normalized(*interned, odd_ids, odd_names) if odd_ids else interned
 
 
-def _first_seen(ids: np.ndarray, names: np.ndarray, keys: np.ndarray):
-    """Ids renumbered in order of first occurrence, and the NameTable of the names used."""
-    first = np.full(len(names), len(ids), np.int64)
-    np.minimum.at(first, ids, np.arange(len(ids)))
+def _merge_normalized(ids, first, names, keys, odd: list[int], normalized: list[str]):
+    """_intern_column's result with normalized[i] the name of id odd[i].
+
+    An odd id whose name is now that of another id (a plain one, or a lower
+    odd one) is merged into it: its rows take that id, which keeps the
+    earliest first position, and it is left with no rows and first position
+    len(ids), for _first_seen to drop. Plain names are normal and distinct
+    already, so only those sharing a key with a normalized name are
+    compared, and a str array of names stays one.
+    """
+    odd = np.array(odd, np.int64)
+    keys[odd] = [_key(name) for name in normalized]
+    near = np.setdiff1d(np.flatnonzero(np.isin(keys, keys[odd])), odd)
+    index = dict(zip(names[near].tolist(), near.tolist()))
+    into = np.arange(len(names))
+    into[odd] = [index.setdefault(name, i) for i, name in zip(odd.tolist(), normalized)]
+    np.minimum.at(first, into[odd], first[odd])
+    # a str array must be wide enough for the names, and would drop trailing NULs
+    nul = any(name.endswith("\x00") for name in normalized)
+    normalized = np.array(normalized, object if nul else str)
+    names = names.astype(np.promote_types(names.dtype, normalized.dtype), copy=False)
+    names[odd] = normalized
+    merged = into != np.arange(len(names))
+    moved = merged[ids]
+    ids[moved] = into[ids[moved]]
+    first[merged] = len(ids)
+    return ids, first, names, keys
+
+
+def _first_seen(ids: np.ndarray, first: np.ndarray | None, names: np.ndarray, keys: np.ndarray):
+    """Ids renumbered in order of first occurrence, and the NameTable of the names used.
+
+    first holds each id's first position in ids (len(ids) for an id with no
+    rows), as _intern_column found it; None when rows were dropped since,
+    and it is then found again.
+    """
+    if first is None:
+        first = np.full(len(names), len(ids), np.int64)
+        np.minimum.at(first, ids, np.arange(len(ids)))
+    elif (np.diff(first, append=len(ids)) > 0).all():
+        return ids, NameTable(names, keys)  # every id used, counting up in order of first occurrence
     used = np.argsort(first)[:np.count_nonzero(first < len(ids))]
     rank = np.empty(len(names), np.int64)
     rank[used] = np.arange(len(used))
@@ -512,37 +589,40 @@ def _first_seen(ids: np.ndarray, names: np.ndarray, keys: np.ndarray):
 def _ingest(columns: list, malformed) -> KnowledgeGraph:
     """Name columns in, graph out: the one path both loaders share.
 
-    columns is [entities, relations]: entities holds every head and then
-    every tail, relations one name per fact. The list is emptied, so the
-    columns are freed once interned. malformed(i) builds the error raised for
-    fact i, the first with a name that normalizes to the empty string. Ids
-    are assigned in first-seen order, heads and tails interleaved, after
-    self-loops are dropped.
+    columns is [entities, relations]: entities holds each fact's head
+    followed by its tail, relations one name per fact. The list is emptied,
+    so the columns are freed once interned. malformed(i) builds the error
+    raised for fact i, the first with a name that normalizes to the empty
+    string. Ids are assigned in first-seen order, heads and tails
+    interleaved, after self-loops are dropped.
     """
     entities, relations = columns
     columns.clear()
     n = sum(len(rows) for _, rows in relations)
-    ent, ent_names = _intern_column(entities, 2 * n, normalize_name, _ENTITY_BYTES)
+    ent, ent_first, ent_names, ent_keys = _intern_column(entities, 2 * n, normalize_name, _ENTITY_BYTES)
     del entities
-    rel, rel_names = _intern_column(relations, n, normalize_relation, _RELATION_BYTES)
+    rel, rel_first, rel_names, rel_keys = _intern_column(relations, n, normalize_relation, _RELATION_BYTES)
     del relations
-    head, tail = ent[:n], ent[n:]
+    head, tail = ent[0::2], ent[1::2]
     bad = np.zeros(n, bool)
-    for empty in np.flatnonzero(ent_names[0] == "").tolist():
+    for empty in np.flatnonzero(ent_names == "").tolist():
         bad |= (head == empty) | (tail == empty)
-    for empty in np.flatnonzero(rel_names[0] == "").tolist():
+    for empty in np.flatnonzero(rel_names == "").tolist():
         bad |= rel == empty
     if bad.any():
         raise malformed(int(bad.argmax()))
     keep = head != tail
     kept = int(keep.sum())
-    ent = ent.reshape(2, n).T[keep].ravel()  # heads and tails interleaved
-    rel = rel[keep]
+    if kept < n:  # positions move, so _first_seen finds first occurrences again
+        ent = ent.reshape(n, 2)[keep].ravel()
+        rel = rel[keep]
+        ent_first = rel_first = None
     del head, tail, keep, bad
     if not kept:
         raise EmptyGraph("no facts survived loading")
-    ent, ent_names = _first_seen(ent, *ent_names)
-    rel, rel_names = _first_seen(rel, *rel_names)
+    ent, ent_names = _first_seen(ent, ent_first, ent_names, ent_keys)
+    rel, rel_names = _first_seen(rel, rel_first, rel_names, rel_keys)
+    del ent_first, rel_first, ent_keys, rel_keys
     ne, nr = len(ent_names), len(rel_names)
     if ne * nr * ne >= 2 ** 63:
         raise OverflowError("graph too large for packed int64 keys")

@@ -8,6 +8,8 @@ relation, and fact counts for scale benchmarks.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .store import KnowledgeGraph
@@ -73,7 +75,6 @@ def large_graph_tsv(path, n_entities: int = 574_270, n_relations: int = 50,
     trimmed so the loaded graph has exactly the requested counts.
     """
     rng = np.random.default_rng(seed)
-    rows: list[tuple[int, int, int]] = []
     # chain covers every entity and cycles through every relation
     chain_h = np.arange(n_entities - 1, dtype=np.int64)
     chain = np.stack([chain_h, chain_h % n_relations, chain_h + 1], axis=1)
@@ -92,11 +93,18 @@ def large_graph_tsv(path, n_entities: int = 574_270, n_relations: int = 50,
     keep = np.sort(first)[:n_facts]
     if len(keep) < n_facts:
         raise ValueError("random pool too small after dedup; raise the oversample factor")
-    rows_arr = all_rows[keep]
+    rows = all_rows[keep]
+    del chain_h, chain, extra, all_rows, packed, first, keep  # free them before the names
+    # names with their separators, so a line is three list lookups
+    heads = [f"e{i}\t" for i in range(n_entities)]
+    rels = [f"Rel{j:02d}\t" for j in range(n_relations)]
+    tails = [f"e{i}\n" for i in range(n_entities)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# synthetic large graph\n")
-        for h, r, t in rows_arr:
-            fh.write(f"e{h}\tRel{r:02d}\te{t}\n")
+        for lo in range(0, n_facts, 1 << 16):  # one join per slice bounds the memory
+            h, r, t = rows[lo:lo + (1 << 16)].T.tolist()
+            lines = zip(map(heads.__getitem__, h), map(rels.__getitem__, r), map(tails.__getitem__, t))
+            fh.write("".join(itertools.chain.from_iterable(lines)))
 
 
 def large_class_names(n_classes: int = 200) -> list[str]:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import codecs
+import hashlib
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -137,6 +139,13 @@ class TestQueries:
         for g in (fruit_graph, reef_graph):
             assert sum(len(g.facts_of(i)) for i in range(len(g.entities))) == g.n_facts
 
+    def test_pair_index_built_on_first_lookup(self, tmp_path):
+        g = load_graph(write_tsv(tmp_path / "fruit.tsv", FRUIT_FACTS))
+        assert "_pairs" not in vars(g)
+        assert names_of(g, g.heads_for(g.relation_id("IsA"), g.entity_id("fruit"))) == {
+            "granny_smith", "pineapple"}
+        assert "_pairs" in vars(g)
+
     def test_pair_index_roundtrip(self, fruit_graph):
         g = fruit_graph
         for head in range(len(g.entities)):
@@ -245,7 +254,7 @@ def assert_reads_back(table):
 
 
 def graph_state(g):
-    arrays = (g._h, g._r, g._t, g._pair_keys, g._pair_heads)
+    arrays = (g._h, g._r, g._t, *g._pairs)
     assert all(a.dtype == np.int64 for a in arrays)
     assert_reads_back(g.entities)
     assert_reads_back(g.relations)
@@ -313,6 +322,7 @@ def tsv_texts(draw):
 @example("a\tR\tb\n \tR\tc\nx\ty\n")  # an empty field before a short row
 @example("a\tR\tb\nx\ty\n \tR\tc\n")  # a short row before an empty field
 @example("A\x00\tR\ta\na\tR\tA\n")  # a trailing NUL keeps names apart
+@example("a\tR\tb\nc\tR\tB\n")  # B, seen last, merges into b and is left with no rows
 @example("long_name_of_entity_1\tR\tlong_name_of_entity_2\nLONG_NAME_OF_ENTITY_1\tR R\tx\n")
 @example("a\tR\t" + "é" * 300 + "\nb\tR\ta\n" + "É" * 300 + "\tR\tb\n")  # one row far wider than the rest
 @example("abcdefg\tRelatio\tabcdefgh\nabcdefghi\tRelation\t" + "a" * 15 + "\n"
@@ -370,3 +380,96 @@ def test_invalid_utf8_raises(tmp_path):
     path.write_bytes(b"a\tR\tb\n\xff\tR\tc\n")
     with pytest.raises(UnicodeDecodeError):
         load_graph(path)
+
+
+def test_normalized_names_merge_into_a_str_table(tmp_path):
+    # one name that needs normalization must not turn the table into objects
+    path = tmp_path / "large.tsv"
+    large_graph_tsv(path, n_entities=3000, n_relations=7, n_facts=9000, n_classes=20, seed=1)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("E5\tRel01\te7\nNew Name\tRel02\tE9\n")
+    assert_parity(path)
+    g = load_graph(path)
+    assert g.entities._names.dtype.kind == "U"
+    assert g.entity_id("new_name") == 3000
+
+
+@pytest.mark.parametrize("kwargs, md5", [
+    (dict(n_entities=3000, n_relations=7, n_facts=9000, n_classes=20, seed=1),
+     "a782ae05cc841148a670f7dff5574e09"),
+    (dict(n_entities=2000, n_relations=120, n_facts=6000, n_classes=10, seed=4),
+     "e4deb3fcb4a4fc9cd2cf6a3bd508877c"),
+])
+def test_large_graph_tsv_bytes_are_pinned(tmp_path, kwargs, md5):
+    path = tmp_path / "large.tsv"
+    large_graph_tsv(path, **kwargs)
+    assert hashlib.md5(path.read_bytes()).hexdigest() == md5
+
+
+# -- grouping a block's rows ---------------------------------------------------
+
+
+def _first_byte_keys(rows):
+    return rows[:, 0].astype(np.uint64)  # distinct rows share keys all the time
+
+
+def _zero_keys(rows):
+    return np.zeros(len(rows), np.uint64)
+
+
+@st.composite
+def row_blocks(draw):
+    """Rows of one block: duplicates, and rows differing only in their last word or padding."""
+    width = 8 * draw(st.integers(1, 3))
+    byte = st.sampled_from([0x00, 0x61, 0x62, store._PAD])
+    pool = []
+    for row in draw(st.lists(st.lists(byte, min_size=width, max_size=width), min_size=1, max_size=5)):
+        cut = draw(st.integers(width - 8, width - 1))
+        pool += [row, row[:cut] + [row[cut] ^ 1] + row[cut + 1:], row[:cut] + [store._PAD] * (width - cut)]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=60))
+    return np.array([pool[i] for i in picks], np.uint8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_blocks(), st.sampled_from([store._row_keys, _first_byte_keys, _zero_keys]))
+def test_group_rows_matches_unique(rows, row_keys):
+    _, ref_first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    ref_first = np.sort(ref_first)
+    # ids count up in order of first position
+    ref_ids = np.searchsorted(ref_first, np.unique(rows, axis=0, return_index=True)[1][inverse.ravel()])
+    with mock.patch.object(store, "_row_keys", row_keys):
+        ids, first = store._group_rows(rows)
+    assert first.tolist() == ref_first.tolist()
+    assert ids.tolist() == ref_ids.tolist()
+
+
+def test_keys_sharing_high_bits_are_split():
+    # two keys whose products with _MIX differ only in bit 0, below the p = 2
+    # position bits of a 4-row block, so they share one run of the sort
+    inverse = pow(store._MIX, -1, 2 ** 64)
+    keys = [mixed * inverse % 2 ** 64 for mixed in (0x0123456789ABCDE0, 0x0123456789ABCDE1)]
+    assert len({key * store._MIX % 2 ** 64 >> 2 for key in keys}) == 1
+    rows = np.array([keys[0], keys[1], keys[1], keys[0]], np.uint64).view(np.uint8).reshape(4, 8)
+    ids, first = store._group_rows(rows)
+    assert ids.tolist() == [0, 1, 1, 0]
+    assert first.tolist() == [0, 1]
+
+
+def test_wide_rows_sharing_a_key_are_split():
+    a = [7, 9]
+    b = [8, (9 - store._MIX) % 2 ** 64]  # w0 * _MIX + w1 folds to the same key
+    rows = np.array([a, b, a, b, b], np.uint64)
+    assert len(set(store._row_keys(rows.view(np.uint8)).tolist())) == 1
+    ids, first = store._group_rows(rows.view(np.uint8))
+    assert ids.tolist() == [0, 1, 0, 1, 1]
+    assert first.tolist() == [0, 1]
+
+
+def test_names_sharing_high_bits_load_like_reference(tmp_path, monkeypatch):
+    # with _MIX = 1 a one-word key is its row, so names that differ only in
+    # the low bits of their first byte share the high bits of the sort
+    monkeypatch.setattr(store, "_MIX", 1)
+    names = ["a", "b", "c", "d", "q", "r", "A", "long_name_a", "long_name_b"]
+    facts = [(h, "R", t) for h in names for t in names[::-1]] + [("S", "Q", "s ")]
+    assert_parity(write_tsv(tmp_path / "g.tsv", facts))
+    assert graph_state(load_graph(tmp_path / "g.tsv")) == graph_state(KnowledgeGraph.from_facts(facts))
