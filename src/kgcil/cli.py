@@ -1,8 +1,8 @@
 """Command-line front end: ingest, build, run, query, bench.
 
 stdout carries data (JSON or TSV), stderr carries logs. Exit codes: 0 on
-success, 1 on input errors, 2 on internal failures. Set KGCIL_LOG to one of
-error, warn, info, debug to control log verbosity.
+success, 1 on input errors (usage errors included), 2 on internal failures.
+Set KGCIL_LOG to one of error, warn, info, debug to control log verbosity.
 """
 
 from __future__ import annotations
@@ -172,6 +172,13 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kgcil", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -190,7 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run an incremental experiment from a JSON config")
     p.add_argument("config")
-    p.add_argument("--jobs", type=int, default=0, help="sample parallelism (default: config or all cores)")
+    p.add_argument("--jobs", type=_non_negative, default=0,
+                   help="sample parallelism (default, or 0: config or all cores)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("query", help="diagnose one inference against a built subgraph")
@@ -211,7 +219,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (MalformedLine, EmptyGraph, ConfigError, UnknownClass, FileNotFoundError,

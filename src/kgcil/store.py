@@ -4,8 +4,8 @@ Facts are loaded once (from TSV or from an in-memory triple list) and the graph
 is immutable afterwards. Both sources feed one column-wise ingestion core, so
 loading makes no Python object per fact, nor one per name: the names stay in
 the array interning produced, and a name is looked up through a sorted array
-of 64-bit keys built from the same bytes. Every query is answered from
-sorted-array indexes via binary search, so lookups never scan the fact table.
+of 64-bit keys built from the same bytes. A head's facts are one slice of an
+edge array, and the heads of a (relation, tail) pair are found by binary search.
 """
 
 from __future__ import annotations
@@ -184,15 +184,14 @@ class KnowledgeGraph:
     """Immutable fact collection with by-head and by-(relation, tail) indexes."""
 
     def __init__(self, entities: NameTable, relations: NameTable,
-                 heads: np.ndarray, rels: np.ndarray, tails: np.ndarray,
-                 stats: LoadStats):
-        # arrays arrive deduplicated and sorted by (head, relation, tail)
+                 starts: np.ndarray, edges: np.ndarray, stats: LoadStats):
+        # edges: relation * n_entities + tail of each distinct fact, by (head, relation,
+        # tail); head h's facts are edges[starts[h]:starts[h + 1]]
         self.entities = entities
         self.relations = relations
-        self._h = heads
-        self._r = rels
-        self._t = tails
-        self._ne = max(len(entities), 1)
+        self._starts = memoryview(starts)  # indexing it yields plain ints
+        self._edges = edges
+        self._ne = len(entities)
         self.stats = stats
 
     @cached_property
@@ -203,10 +202,8 @@ class KnowledgeGraph:
         """
         # facts are distinct, so sorting the packed (pair, head) key orders them
         # exactly as a lexsort by pair then head would
-        by_pair = self._r * self._ne
-        by_pair += self._t
-        by_pair *= self._ne
-        by_pair += self._h
+        by_pair = self._edges * self._ne
+        by_pair += np.repeat(np.arange(self._ne), np.diff(self._starts))
         by_pair.sort()
         heads = by_pair % self._ne
         by_pair //= self._ne  # in place: the index never holds three such arrays at once
@@ -228,7 +225,7 @@ class KnowledgeGraph:
 
     @property
     def n_facts(self) -> int:
-        return len(self._h)
+        return len(self._edges)
 
     def entity_id(self, name: str) -> int | None:
         return self.entities.get(normalize_name(name))
@@ -242,11 +239,12 @@ class KnowledgeGraph:
     def relation_name(self, idx: int) -> str:
         return self.relations.name(idx)
 
-    def _head_edges(self, head: int) -> zip:
-        """(relation id, tail id) of every fact with this head, in index order."""
-        # ids are integers, so the right edge of head is the left edge of head + 1
-        lo, hi = self._h.searchsorted((head, head + 1)).tolist()
-        return zip(self._r[lo:hi].tolist(), self._t[lo:hi].tolist())
+    def _head_edges(self, head: int) -> list[tuple[int, int]]:
+        """(relation id, tail id) of each fact with this head, in index order; none for an unknown id."""
+        if not 0 <= head < self._ne:
+            return []
+        edges = self._edges[self._starts[head]:self._starts[head + 1]]
+        return [divmod(edge, self._ne) for edge in edges.tolist()]
 
     def facts_of(self, head: int) -> list[Fact]:
         """All facts with this head, ordered by (relation id, tail id)."""
@@ -331,10 +329,10 @@ def _byte_column(data: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list
     """
     if not len(lens) or _row_width(lens.min()) == _row_width(lens.max()):
         blocks = [slice(None)]
-    else:
-        widths = _row_width(lens)
-        order = np.argsort(widths, kind="stable")
-        blocks = np.split(order, np.flatnonzero(np.diff(widths[order])) + 1)
+    else:  # one block per width present, its positions in ascending order
+        n_words = _row_width(lens) // 8
+        blocks = [np.flatnonzero(n_words == w) for w in np.flatnonzero(np.bincount(n_words))]
+        del n_words
     # the 8 bytes from every offset of data, read as one unaligned word
     words = np.ndarray((len(data) - 7,), np.uint64, data, strides=(1,))
     column = []
@@ -635,9 +633,9 @@ def _ingest(columns: list, malformed) -> KnowledgeGraph:
     del ent, rel
     packed.sort()
     packed = packed[np.concatenate(([True], packed[1:] != packed[:-1]))]
-    head, rest = np.divmod(packed, nr * ne)
-    rel, tail = np.divmod(rest, ne)
-    del rest
+    head, edges = np.divmod(packed, nr * ne)
+    starts = np.zeros(ne + 1, np.int64)
+    np.cumsum(np.bincount(head, minlength=ne), out=starts[1:])
     stats = LoadStats(
         entities=ne,
         relations=nr,
@@ -645,5 +643,5 @@ def _ingest(columns: list, malformed) -> KnowledgeGraph:
         duplicates_dropped=kept - len(packed),
         self_loops_dropped=n - kept,
     )
-    del packed
-    return KnowledgeGraph(ent_names, rel_names, head, rel, tail, stats)
+    del packed, head
+    return KnowledgeGraph(ent_names, rel_names, starts, edges, stats)

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 
-from kgcil import TaskSchedule
+from kgcil import TaskSchedule, cli
 from kgcil.cli import EXIT_INPUT, EXIT_OK, main, parse_classes_file
 from kgcil.synthetic import class_name, synthetic_facts, write_tsv
 
@@ -173,6 +174,19 @@ class TestRun:
         csv_text = (tmp_path / "out" / "sessions.csv").read_text()
         assert "baseline" in csv_text and "augmented" in csv_text
 
+    def test_negative_jobs_is_input_error(self, capsys, synth_tsv, tmp_path, monkeypatch):
+        cfg = self.write_config(tmp_path, synth_tsv)
+        code, out, err = run_cli(capsys, "run", str(cfg), "--jobs", "-3")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "--jobs" in err
+        assert not (tmp_path / "out").exists()
+        # 0 still defers to the config
+        run = mock.Mock(wraps=cli.run_experiment)
+        monkeypatch.setattr(cli, "run_experiment", run)
+        assert run_cli(capsys, "run", str(cfg), "--jobs", "0")[0] == EXIT_OK
+        assert run.call_args.kwargs["jobs"] == 1
+
     def test_schema_violation_names_key(self, capsys, synth_tsv, tmp_path):
         cfg = self.write_config(tmp_path, synth_tsv, r_targetx=3)
         code, out, err = run_cli(capsys, "run", str(cfg))
@@ -330,6 +344,17 @@ class TestQuery:
                                "--subgraph", str(tmp_path / "absent.tsv"), "text")
         assert code == EXIT_INPUT
         assert err != ""
+
+    def test_usage_error_is_input_error(self, capsys, fruit_tsv):
+        code, out, err = run_cli(capsys, "query", "--graph", str(fruit_tsv), "text")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "--subgraph" in err
+
+    def test_help_exits_ok(self, capsys):
+        code, out, _ = run_cli(capsys, "query", "--help")
+        assert code == EXIT_OK
+        assert "--subgraph" in out
 
     def test_empty_subgraph_is_input_error(self, capsys, fruit_tsv, tmp_path):
         classes = tmp_path / "classes.txt"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgcil import (EmptyGraph, KnowledgeGraph, LoadStats, MalformedLine, load_graph,
+from kgcil import (EmptyGraph, Fact, KnowledgeGraph, LoadStats, MalformedLine, load_graph,
                    normalize_name, store)
 from kgcil.synthetic import large_graph_tsv, synthetic_facts
 from conftest import FRUIT_FACTS, REEF_FACTS, write_tsv
@@ -110,6 +110,10 @@ class TestQueries:
     def test_facts_of_isolated_entity(self, fruit_graph):
         g = fruit_graph
         assert g.facts_of(g.entity_id("eaten")) == []
+        # ids outside the entity table have no facts, not another head's
+        for head in (-2, -1, len(g.entities), len(g.entities) + 5):
+            assert g.facts_of(head) == []
+            assert g.two_hop_facts(head) == []
 
     def test_two_hop(self, reef_graph):
         g = reef_graph
@@ -170,8 +174,8 @@ def triple_lists(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(triple_lists())
-def test_index_consistency_property(tmp_path_factory, triples):
+@given(triple_lists(), st.integers(min_value=1, max_value=3))
+def test_index_consistency_property(tmp_path_factory, triples, limit):
     if not triples:
         return
     g = KnowledgeGraph.from_facts(triples)
@@ -192,6 +196,14 @@ def test_index_consistency_property(tmp_path_factory, triples):
     for i in range(len(g.entities)):
         for f in g.facts_of(i):
             assert f.head in g.heads_for(f.relation, f.tail)
+    # per-head reads against the sorted, distinct id triples, ids outside the table included
+    ref = sorted({(g.entity_id(h), g.relation_id(r), g.entity_id(t)) for h, r, t in triples})
+    edges = {h: [(r, t) for hh, r, t in ref if hh == h] for h in range(-2, len(g.entities) + 2)}
+    for h in edges:
+        assert g.facts_of(h) == [Fact(h, r, t) for r, t in edges[h]]
+        chains = [((r1, r2), t) for r1, mid in edges[h] for r2, t in edges[mid] if t not in (h, mid)]
+        assert g.two_hop_facts(h) == chains
+        assert g.two_hop_facts(h, limit) == chains[:limit]
 
 
 # -- parity with the per-line loader ------------------------------------------
@@ -254,11 +266,17 @@ def assert_reads_back(table):
 
 
 def graph_state(g):
-    arrays = (g._h, g._r, g._t, *g._pairs)
+    """The graph as ref_load returns it: heads, relations and tails are decoded from the offsets."""
+    starts, edges = np.asarray(g._starts), g._edges
+    arrays = (starts, edges, *g._pairs)
     assert all(a.dtype == np.int64 for a in arrays)
+    assert starts[0] == 0 and starts[-1] == len(edges) and (np.diff(starts) >= 0).all()
+    heads = np.repeat(np.arange(len(g.entities)), np.diff(starts))
+    rels, tails = np.divmod(edges, len(g.entities))
     assert_reads_back(g.entities)
     assert_reads_back(g.relations)
-    return (g.stats, g.entities.names(), g.relations.names(), *(a.tolist() for a in arrays))
+    return (g.stats, g.entities.names(), g.relations.names(),
+            *(a.tolist() for a in (heads, rels, tails, *g._pairs)))
 
 
 def outcome(load, path):
