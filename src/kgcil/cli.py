@@ -115,6 +115,8 @@ def _schedule_from_config(doc: dict) -> TaskSchedule:
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 0:
+        raise ValueError(f"--jobs must be 0 or more, got {args.jobs}")
     doc = load_run_config(args.config)
     graph = load_graph(doc["graph_path"])
     schedule = _schedule_from_config(doc)
@@ -172,13 +174,6 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _non_negative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kgcil", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -197,8 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run an incremental experiment from a JSON config")
     p.add_argument("config")
-    p.add_argument("--jobs", type=_non_negative, default=0,
-                   help="sample parallelism (default, or 0: config or all cores)")
+    p.add_argument("--jobs", type=int, default=0, help="sample parallelism (default: config or all cores)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("query", help="diagnose one inference against a built subgraph")
