@@ -72,9 +72,12 @@ RUN_CONFIG_SCHEMA = {
 def _validator():
     # imported on first validation: query, ingest, build and bench never
     # validate a config, and jsonschema is a large share of the CLI's import
-    from jsonschema import Draft202012Validator
+    from jsonschema import Draft202012Validator, validators
 
-    return Draft202012Validator(RUN_CONFIG_SCHEMA)
+    # JSON Schema's integer admits 2.0, which range() and list indices do not
+    checker = Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
+    return validators.extend(Draft202012Validator, type_checker=checker)(RUN_CONFIG_SCHEMA)
 
 
 class ConfigError(ValueError):

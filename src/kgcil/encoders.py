@@ -37,7 +37,8 @@ class HashingEncoder:
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
         self.dimension = dimension
-        self._buckets: dict[str, int] = {}
+        self._buckets: dict[str, int] = {}  # token -> bucket
+        self._pieces: dict[str, list[int]] = {}  # '.'-piece -> its tokens' buckets
 
     def encode(self, text: str) -> np.ndarray:
         return self.encode_batch([text])[0]
@@ -46,11 +47,10 @@ class HashingEncoder:
         """One row of token counts per text, float64, shape (len(texts), dimension).
 
         '.' splits tokens, so a text's buckets are its '.'-pieces' buckets in
-        order; each distinct piece is tokenized once per call.
+        order; each distinct piece is tokenized once per encoder.
         """
         n, dim = len(texts), self.dimension
-        buckets = self._buckets
-        pieces: dict[str, list[int]] = {}
+        buckets, pieces = self._buckets, self._pieces
         rows = []
         for text in texts:
             row: list[int] = []

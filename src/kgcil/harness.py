@@ -19,7 +19,7 @@ import numpy as np
 
 from .encoders import HashingEncoder
 from .inference import Candidates, infer_batch, prediction_record
-from .simulate import GeneratorConfig, NoAssignment, TextGenerator, baseline_config
+from .simulate import GeneratorConfig, TextGenerator, baseline_config
 from .store import KnowledgeGraph, Record, normalize_name
 from .taskgraph import TaskSubgraph, UnknownClass, extend_subgraph, render_export
 from .triplet_text import render_training_text
@@ -256,10 +256,9 @@ class Session:
         cid = graph.entities.get(cname)
         stream, rows = (self.index, cid), range(self.samples)
         t0 = time.perf_counter()
-        try:
-            texts = self.generator.generate_batch(cid, stream, rows)
-        except NoAssignment:
-            texts = self.generator.generate_batch(cid, stream, rows, baseline=True)
+        # a class with no paths has nothing to render: it is evaluated on bare captions
+        texts = self.generator.generate_batch(cid, stream, rows,
+                                              baseline=not self.subgraph.assignments[cid].paths)
         gen_ms = (time.perf_counter() - t0) * 1000.0
         batch = infer_batch(texts, self.subgraph, self.candidates, self.encoder)
         records = None

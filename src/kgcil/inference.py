@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .taskgraph import TaskSubgraph
-from .triplet_text import ParsedTriplet, parse_batch
+from .triplet_text import ParsedTriplet, parse_triplets
 
 TOP_K = 3  # similarity scores a Prediction keeps
 
@@ -200,8 +200,8 @@ def infer_batch(texts, subgraph: TaskSubgraph, candidates: Candidates, encoder) 
     matches the registry, the text is ranked as it stands.
     """
     t0 = time.perf_counter()
-    parsed = parse_batch(texts, subgraph.graph.relations)
-    votes = [vote_head(triplets, subgraph) for triplets in parsed]
+    relations = subgraph.graph.relations
+    votes = [vote_head(parse_triplets(t, relations), subgraph) for t in texts]
     t1 = time.perf_counter()
     augmented = [augment_text(t, head) for t, (_, head) in zip(texts, votes)]
     batch = rank_rows(encoder.encode_batch(augmented), candidates, votes)

@@ -94,31 +94,19 @@ def parse_triplets(text: str, relations: NameTable) -> list[ParsedTriplet]:
     Never raises on odd input; at worst returns an empty list. Duplicates are
     removed, first occurrence wins. Relations always come from the given
     table, so a parsed triplet can never name an unknown relation.
+
+    '.' ends every capture, so a text's triplets are its '.'-pieces' triplets
+    in order, deduplicated. Each distinct piece is parsed once per table.
     """
-    return parse_batch([text], relations)[0]
+    pieces = relations.memo(_parse_piece)
+    found: list[ParsedTriplet] = []
+    for piece in text.split("."):
+        found += pieces[piece]
+    return list(dict.fromkeys(found)) if len(found) > 1 else found
 
 
-def parse_batch(texts, relations: NameTable) -> list[list[ParsedTriplet]]:
-    """parse_triplets of every text, parsing each distinct '.'-piece once per call.
-
-    '.' ends every capture, so a text's triplets are its pieces' triplets in
-    order, deduplicated. The piece memo lives for one call.
-    """
+def _parse_piece(relations: NameTable, piece: str) -> list[ParsedTriplet]:
     keywords = relations.keywords()
-    pieces: dict[str, list[ParsedTriplet]] = {}
-    out = []
-    for text in texts:
-        found: list[ParsedTriplet] = []
-        for piece in text.split("."):
-            trips = pieces.get(piece)
-            if trips is None:
-                trips = pieces[piece] = _parse_piece(piece, keywords)
-            found += trips
-        out.append(list(dict.fromkeys(found)) if len(found) > 1 else found)
-    return out
-
-
-def _parse_piece(piece: str, keywords) -> list[ParsedTriplet]:
     tokens = _TOKEN_RE.findall(piece)
     # per token: the relation ids it opens, () for a tail word, None for a boundary
     rels = [None if t in _BOUNDARY else keywords[t] for t in tokens]

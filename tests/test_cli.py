@@ -194,6 +194,16 @@ class TestRun:
         assert out == ""
         assert "r_targetx" in err
 
+    def test_float_integer_key_is_input_error(self, capsys, synth_tsv, tmp_path):
+        # a float n_tasks once passed validation and crashed the schedule with exit 2
+        schedule = {"kind": "b0", "classes": [class_name(i) for i in range(12)], "n_tasks": 3.0}
+        cfg = self.write_config(tmp_path, synth_tsv, schedule=schedule)
+        code, out, err = run_cli(capsys, "run", str(cfg))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "schedule/n_tasks: 3.0 is not of type 'integer'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_diagnostics_written(self, capsys, synth_tsv, tmp_path):
         cfg = self.write_config(tmp_path, synth_tsv, diagnostics=True, orders=[0])
         code, _, _ = run_cli(capsys, "run", str(cfg))

@@ -27,6 +27,16 @@ def minimal(**overrides) -> dict:
     return doc
 
 
+def integer_keys(schema, path=()):
+    """Every key path the schema types as integer; an array's items sit at index 0."""
+    if schema.get("type") == "integer":
+        yield path
+    for key, sub in schema.get("properties", {}).items():
+        yield from integer_keys(sub, path + (key,))
+    if "items" in schema:
+        yield from integer_keys(schema["items"], path + (0,))
+
+
 class TestValidate:
     def test_minimal_passes(self):
         assert validate_run_config(minimal()) is not None
@@ -91,6 +101,25 @@ class TestValidate:
     def test_negative_seed_rejected_by_key(self, key, overrides):
         with pytest.raises(ConfigError, match=key):
             validate_run_config(minimal(**overrides))
+
+    @pytest.mark.parametrize("path", list(integer_keys(RUN_CONFIG_SCHEMA)),
+                             ids=lambda path: "/".join(map(str, path)))
+    def test_float_in_integer_key_rejected_by_key(self, path):
+        # 2.0 is an integer to JSON Schema, and crashed the run it was let into
+        doc = minimal()
+        node = doc
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = 2.0
+        where = "/".join(map(str, path))
+        with pytest.raises(ConfigError, match=f"^{where}: 2.0 is not of type 'integer'$"):
+            validate_run_config(doc)
+
+    def test_integer_keys_cover_the_schema(self):
+        assert {"/".join(map(str, p)) for p in integer_keys(RUN_CONFIG_SCHEMA)} == {
+            "schedule/n_tasks", "schedule/base_size", "schedule/n_incremental", "schedule/way",
+            "schedule/shot", "schedule/samples_per_class", "r_target", "generator/seed",
+            "encoder/dimension", "orders/0", "jobs"}
 
     def test_error_reports_first_by_path(self):
         doc = minimal(generator={"mode": "psychic"}, r_target=0)

@@ -117,3 +117,14 @@ def test_piecewise_encode_matches_whole_text(texts, dim):
     texts = texts + texts[:3]
     got = HashingEncoder(dim).encode_batch(texts)
     assert got.tobytes() == whole_text_encode_batch(texts, dim).tobytes()
+
+
+SHARED_ENCODERS = {dim: HashingEncoder(dim) for dim in (1, 7, 256)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(encode_texts(), max_size=12), st.sampled_from([1, 7, 256]))
+def test_piecewise_encode_with_one_encoder_across_calls(texts, dim):
+    # the piece memo lives on the encoder and holds every earlier example's pieces
+    got = SHARED_ENCODERS[dim].encode_batch(texts + texts[:3])
+    assert got.tobytes() == whole_text_encode_batch(texts + texts[:3], dim).tobytes()

@@ -226,6 +226,23 @@ class TestRunExperiment:
                 checked += 1
         assert checked == len(records) == 4 * (4 + 8 + 12)
 
+    def test_class_without_paths_runs_on_bare_captions(self, tmp_path):
+        # item_000_0 has no outgoing facts, so allocation grants it no path
+        graph = synthetic_graph(8, seed=0)
+        names = [class_name(i) for i in range(7)] + ["item_000_0"]
+        sched = TaskSchedule.b0(names, 2, samples_per_class=3)
+        cfg = GeneratorConfig(p_drop=0.3, p_swap=0.3, seed=1)
+        reports = {}
+        for jobs in (1, 2):
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            reports[jobs] = run_experiment(graph, sched, cfg, 2, HashingEncoder(64), orders=[0],
+                                           jobs=jobs, diagnostics_path=path)
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            item = [r["raw_text"] for r in records if r["true_class"] == "item_000_0"]
+            assert item and set(item) == {"This is a photo of item_000_0"}
+        assert "item_000_0" in reports[1].orders[0].sessions[-1].per_class
+        assert reports[1].comparable() == reports[2].comparable()
+
     def test_report_carries_caveat_and_config(self, small_graph, small_schedule):
         report = run_experiment(
             small_graph, small_schedule, GeneratorConfig(mode="oracle"),

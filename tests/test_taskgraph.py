@@ -11,6 +11,7 @@ from kgcil import (
     KnowledgeGraph,
     RelationPath,
     TaskSubgraph,
+    UnknownClass,
     export_subgraph,
     extend_subgraph,
     import_subgraph,
@@ -204,6 +205,19 @@ class TestExport:
         out.write_text(f"0\tgranny_smith\tIsA\tfruit\n{task}\tpineapple\tIsA\tfruit\n",
                        encoding="utf-8")
         with pytest.raises(ValueError, match=f"subgraph line 2: bad task index '{task}'"):
+            import_subgraph(out, fruit_graph)
+
+    @pytest.mark.parametrize("row,error,match", [
+        ("1\tdurian\tIsA\tfruit", UnknownClass, "class name not in graph: 'durian'"),
+        ("1\tpineapple\tPartOf\tfruit", ValueError, "subgraph line 2: unknown relation 'PartOf'"),
+        ("1\tpineapple\tIsA\tberry", ValueError, "subgraph line 2: unknown tail 'berry'"),
+        ("1\tpineapple\tIsA\tfruit", ValueError,
+         "subgraph line 2: pair already owned by another class"),
+    ], ids=["unknown-class", "unknown-relation", "unknown-tail", "pair-owned"])
+    def test_import_rejects_row(self, fruit_graph, tmp_path, row, error, match):
+        out = tmp_path / "bad.tsv"
+        out.write_text(f"0\tgranny_smith\tIsA\tfruit\n{row}\n", encoding="utf-8")
+        with pytest.raises(error, match=match):
             import_subgraph(out, fruit_graph)
 
 

@@ -19,7 +19,7 @@ from kgcil import (
     render_training_text,
 )
 from kgcil.synthetic import class_name, synthetic_graph
-from kgcil.triplet_text import ParsedTriplet, label_reads_back, parse_batch, tail_reads_back
+from kgcil.triplet_text import ParsedTriplet, label_reads_back, tail_reads_back
 
 
 def parsed_names(graph, triplets):
@@ -326,15 +326,28 @@ def test_piecewise_parse_matches_whole_text(names, texts, later):
     texts = texts + texts[:3]  # repeated texts share every piece of the memo
     grown = list(dict.fromkeys(names + later))  # the same texts against more relations
     for table in NameTable.from_names(names), NameTable.from_names(grown):
-        assert parse_batch(texts, table) == [whole_text_parse(t, table) for t in texts]
-    for text in texts:
-        assert parse_triplets(text, table) == whole_text_parse(text, table)
+        assert [parse_triplets(t, table) for t in texts] == [whole_text_parse(t, table)
+                                                             for t in texts]
 
 
-def test_parse_batch_dedups_across_pieces():
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(KEYWORD_POOL), min_size=1, max_size=6, unique=True),
+       st.lists(piece_texts(), max_size=12))
+def test_piece_memo_outlives_a_call(names, texts):
+    # the memo lives on the table, so what earlier texts left in it must not show
+    fresh = [parse_triplets(t, NameTable.from_names(names)) for t in texts]
+    shared = NameTable.from_names(names)
+    forward = [parse_triplets(t, shared) for t in texts]
+    for got in forward:
+        got.clear()  # a caller's list is its own, not the memo's
+    assert [parse_triplets(t, shared) for t in reversed(texts)][::-1] == fresh
+
+
+def test_parse_dedups_across_pieces():
     g = KnowledgeGraph.from_facts([("c", "IsA", "fruit")])
     text = "it IsA fruit. it IsA fruit. it IsA the fruit."
-    assert parse_batch([text, text], g.relations) == [[ParsedTriplet((0,), "fruit")]] * 2
+    assert [parse_triplets(t, g.relations) for t in (text, text)] == [
+        [ParsedTriplet((0,), "fruit")]] * 2
 
 
 # -- the allocation check against the parser -----------------------------
