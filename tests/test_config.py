@@ -115,12 +115,6 @@ class TestValidate:
         with pytest.raises(ConfigError, match=f"^{where}: 2.0 is not of type 'integer'$"):
             validate_run_config(doc)
 
-    def test_integer_keys_cover_the_schema(self):
-        assert {"/".join(map(str, p)) for p in integer_keys(RUN_CONFIG_SCHEMA)} == {
-            "schedule/n_tasks", "schedule/base_size", "schedule/n_incremental", "schedule/way",
-            "schedule/shot", "schedule/samples_per_class", "r_target", "generator/seed",
-            "encoder/dimension", "orders/0", "jobs"}
-
     def test_error_reports_first_by_path(self):
         doc = minimal(generator={"mode": "psychic"}, r_target=0)
         with pytest.raises(ConfigError, match="generator"):

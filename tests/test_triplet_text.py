@@ -3,7 +3,7 @@ from __future__ import annotations
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgcil import (
@@ -333,6 +333,7 @@ def test_piecewise_parse_matches_whole_text(names, texts, later):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from(KEYWORD_POOL), min_size=1, max_size=6, unique=True),
        st.lists(piece_texts(), max_size=12))
+@example(["IsA"], ["it IsA fruit", "IsA fruit IsA fruit", "it IsA fruit. IsA fruit"])
 def test_piece_memo_outlives_a_call(names, texts):
     # the memo lives on the table, so what earlier texts left in it must not show
     fresh = [parse_triplets(t, NameTable.from_names(names)) for t in texts]
