@@ -433,10 +433,12 @@ def bench(graph: KnowledgeGraph, subgraph: TaskSubgraph, n_samples: int = 1000,
     Runs the step `run` runs, one infer_batch per class, on texts of the
     corrupted generator with filler (p_drop = p_swap = 0.3) against every
     class of the subgraph at the default encoder; the samples go round-robin
-    over the classes with paths.
+    over the classes with paths. Raises ValueError for n_samples below 1.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     assigned = [graph.entities.name(cid) for cid, a in subgraph.assignments.items() if a.paths]
-    if not assigned or n_samples < 1:
+    if not assigned:
         return BenchReport(n_samples, len(subgraph.assignments), *[0.0] * 6, seed)
     per_class, extra = divmod(n_samples, len(assigned))
     session = Session.build(subgraph, GeneratorConfig(seed=seed, **_BENCH_GENERATOR),

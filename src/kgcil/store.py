@@ -380,10 +380,11 @@ def _read_tsv(path):
     Returns ([entities, relations], line_no, first_short); entities holds
     each head followed by its tail, and first_short is (row, field count) of
     the first line without exactly three fields, or None. Such a line gets
-    empty names, so the core reports it. Only lines that start with
-    whitespace, '#' or a non-ASCII byte are decoded in Python, to apply the
-    skip rule. Arrays are deleted as soon as they are used up, which keeps
-    the peak memory of a load low.
+    empty names, so the core reports it. One scan finds every tab and
+    newline; a row's fields end at its last three of them. Only lines that
+    start with whitespace, '#' or a non-ASCII byte are decoded in Python, to
+    apply the skip rule. Arrays are deleted as soon as they are used up,
+    which keeps the peak memory of a load low.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -393,34 +394,32 @@ def _read_tsv(path):
         buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not buf.isascii():
         buf.decode("utf-8")  # invalid UTF-8 raises here
-    ends = np.flatnonzero(np.frombuffer(buf, np.uint8) == ord("\n"))
     if buf and not buf.endswith(b"\n"):
-        ends = np.append(ends, len(buf))
+        buf += b"\n"  # so every line ends at a newline
+    raw = np.frombuffer(buf, np.uint8)
+    seps = np.flatnonzero((raw == ord("\t")) | (raw == ord("\n")))
+    newline = np.flatnonzero(raw[seps] == ord("\n"))  # the last separator of each line
+    ends = seps[newline]
     starts = np.concatenate(([0], ends + 1))[:len(ends)]
-    # zero padding lets every field be read as one fixed-width window
-    data = np.zeros(len(buf) + int(_row_width((ends - starts).max(initial=0))), np.uint8)
-    data[:len(buf)] = np.frombuffer(buf, np.uint8)
-    del buf
-    lead = data[starts]  # an empty line's lead is its own newline
+    lead = raw[starts]  # an empty line's lead is its own newline
     skip = (lead <= ord(" ")) | (lead == ord("#")) | (lead >= 0x80)
     for i in np.flatnonzero(skip).tolist():
-        line = data[starts[i]:ends[i]].tobytes().decode("utf-8")
+        line = buf[starts[i]:ends[i]].decode("utf-8")
         skip[i] = not line.strip() or line.lstrip().startswith("#")
     lines = np.flatnonzero(~skip)
     del lead, skip
-    tabs = np.flatnonzero(data == ord("\t"))
-    tabs_to_end = np.searchsorted(tabs, ends)
-    first_tab = np.concatenate(([0], tabs_to_end[:-1]))[lines]
-    n_fields = tabs_to_end[lines] - first_tab + 1
-    del tabs_to_end
+    n_fields = np.diff(newline, prepend=-1)[lines]  # the separators since the previous newline
+    newline = newline[lines]
     starts, ends = starts[lines], ends[lines]
+    first = newline - n_fields + 1  # a short row reads its tabs from its own separators
+    tab1, tab2 = seps[np.maximum(newline - 2, first)], seps[np.maximum(newline - 1, first)]
     short = np.flatnonzero(n_fields != 3)
     first_short = (int(short[0]), int(n_fields[short[0]])) if len(short) else None
-    del n_fields
-    if not len(tabs):  # every row is short; any in-range lookup will do
-        tabs = np.zeros(1, np.int64)
-    tab1, tab2 = tabs.take(first_tab, mode="clip"), tabs.take(first_tab + 1, mode="clip")
-    del tabs, first_tab
+    del seps, newline, first, n_fields
+    # zero padding lets every field be read as one fixed-width window
+    data = np.zeros(len(buf) + int(_row_width((ends - starts).max(initial=0))), np.uint8)
+    data[:len(buf)] = raw
+    del buf, raw
     rel_lens = tab2 - tab1 - 1
     rel_lens[short] = 0
     relations = _byte_column(data, tab1 + 1, rel_lens)

@@ -85,6 +85,22 @@ def _candidates(graph: KnowledgeGraph, cid: int):
         yield rels, tail, True
 
 
+def _reads_back(graph: KnowledgeGraph):
+    """(class name, relations, tail id) -> whether the path's clause reads back to it alone.
+
+    The rule every path of a subgraph keeps, so that its text votes for its
+    class: the clause parses back to its own relations and tail, and no token
+    of the class name, which leads every clause, is a keyword. With relations
+    Made, Of and Made_Of, the pair (Made, Of) renders as Made_Of and fails,
+    as does a tail `of`, and so does every path of a class named `isa-red`.
+    Each check is a memo of the relation table, so a name is checked once.
+    """
+    names, labels, tails = (graph.relations.memo(check) for check in
+                            (name_opens_no_capture, label_reads_back, tail_reads_back))
+    entity_name = graph.entities.name
+    return lambda name, rels, tail: names[name] and labels[rels] and tails[entity_name(tail)]
+
+
 def extend_subgraph(subgraph: TaskSubgraph, new_classes, graph: KnowledgeGraph,
                     r_target: int) -> tuple[TaskSubgraph, AllocationReport]:
     """Grant up to r_target unused pairs to each new class, in place.
@@ -92,19 +108,15 @@ def extend_subgraph(subgraph: TaskSubgraph, new_classes, graph: KnowledgeGraph,
     Unknown class names are collected in the report rather than raised; they
     end up in both the unknown and shortfall lists. Classes whose direct facts
     are exhausted fall back to two-hop chains; whatever is still missing after
-    that is recorded as shortfall. A path is granted only when its rendered
-    clause parses back to its own relations and tail, so the text of every
-    grant votes for its class: with relations Made, Of and Made_Of, the pair
-    (Made, Of) renders as Made_Of and is not granted, nor is a tail `of`. A
-    class whose name holds a keyword token is granted nothing, since its name
-    leads every clause (see name_opens_no_capture); it is shortfall.
+    that is recorded as shortfall. A path is granted only when its clause
+    reads back to it (_reads_back), so a class whose name holds a keyword
+    token is granted nothing; it is shortfall.
     """
     if r_target < 1:
         raise ValueError(f"r_target must be >= 1, got {r_target}")
     if subgraph.graph is not graph:
         raise ValueError("subgraph belongs to a different graph")
-    labels, tails = graph.relations.memo(label_reads_back), graph.relations.memo(tail_reads_back)
-    entity_name = graph.entities.name
+    reads_back = _reads_back(graph)
     task_index = subgraph.tasks
     report = AllocationReport()
     for raw in new_classes:
@@ -119,17 +131,15 @@ def extend_subgraph(subgraph: TaskSubgraph, new_classes, graph: KnowledgeGraph,
             raise ValueError(f"class already assigned: {name!r}")
         paths: list[RelationPath] = []
         fallback = False
-        if name_opens_no_capture(graph.relations, name):
-            for rels, tail, chain in _candidates(graph, cid):
-                key = (rels, tail)
-                if (key in subgraph.pair_to_class or not labels[rels]
-                        or not tails[entity_name(tail)]):
-                    continue
-                paths.append(RelationPath(rels, tail))
-                subgraph.pair_to_class[key] = cid
-                fallback |= chain
-                if len(paths) >= r_target:
-                    break
+        for rels, tail, chain in _candidates(graph, cid):
+            key = (rels, tail)
+            if key in subgraph.pair_to_class or not reads_back(name, rels, tail):
+                continue
+            paths.append(RelationPath(rels, tail))
+            subgraph.pair_to_class[key] = cid
+            fallback |= chain
+            if len(paths) >= r_target:
+                break
         subgraph.assignments[cid] = ClassAssignment(cid, paths, task_index)
         report.grants.append(ClassGrant(name, r_target, len(paths), fallback))
         if len(paths) < r_target:
@@ -169,9 +179,12 @@ def export_subgraph(subgraph: TaskSubgraph, path) -> ExportStats:
 def import_subgraph(path, graph: KnowledgeGraph) -> TaskSubgraph:
     """Rebuild a TaskSubgraph from an exported TSV file.
 
-    A row that repeats a (class, pair) the class already holds is skipped.
+    A row that repeats a (class, pair) the class already holds is skipped. A
+    row is rejected when its clause does not read back to it (_reads_back),
+    as allocation would not have granted it.
     """
     sub = TaskSubgraph(graph)
+    reads_back = _reads_back(graph)
     max_task = -1
     with open(path, encoding="utf-8-sig") as fh:  # -sig drops a leading BOM
         for line_no, raw in enumerate(fh, 1):
@@ -185,7 +198,8 @@ def import_subgraph(path, graph: KnowledgeGraph) -> TaskSubgraph:
             if not task_s.strip().isdecimal():  # digits only: no sign, so no negative index
                 raise ValueError(f"subgraph line {line_no}: bad task index {task_s!r}")
             task_index = int(task_s)
-            cid = graph.entities.get(normalize_name(cname))
+            name = normalize_name(cname)
+            cid = graph.entities.get(name)
             if cid is None:
                 raise UnknownClass(cname)
             rels = graph.relations.resolve(rel_s)
@@ -194,6 +208,8 @@ def import_subgraph(path, graph: KnowledgeGraph) -> TaskSubgraph:
             tail = graph.entities.get(normalize_name(tail_s))
             if tail is None:
                 raise ValueError(f"subgraph line {line_no}: unknown tail {tail_s!r}")
+            if not reads_back(name, rels, tail):
+                raise ValueError(f"subgraph line {line_no}: clause does not read back to its path")
             key: PairKey = (rels, tail)
             owner = sub.pair_to_class.get(key)
             if owner == cid:

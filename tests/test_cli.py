@@ -395,6 +395,20 @@ class TestBenchCommand:
         assert rows["classes"] == "6"
         assert float(rows["generation_ms"]) > 0
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_samples_below_one_is_input_error(self, capsys, synth_tsv, tmp_path, n):
+        classes = tmp_path / "classes.txt"
+        classes.write_text("".join(f"{class_name(i)}\n" for i in range(6)))
+        sub = tmp_path / "sub.tsv"
+        assert main(["build", "--graph", str(synth_tsv), "--classes", str(classes),
+                     "--out", str(sub)]) == EXIT_OK
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "bench", "--graph", str(synth_tsv),
+                                 "--subgraph", str(sub), "-n", n)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "n_samples" in err
+
     def test_stage_rows_are_session_columns(self, capsys, synth_tsv, tmp_path):
         classes = tmp_path / "classes.txt"
         classes.write_text("".join(f"{class_name(i)}\n" for i in range(12)))

@@ -306,6 +306,13 @@ class TestBench:
         assert report.generation_ms == 0.0
         assert report.storage_mb == 0.0
 
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_rejects_samples_below_one(self, small_graph, n_samples):
+        sub = TaskSubgraph(small_graph)
+        extend_subgraph(sub, [class_name(i) for i in range(6)], small_graph, 3)
+        with pytest.raises(ValueError, match=f"n_samples must be >= 1, got {n_samples}"):
+            bench(small_graph, sub, n_samples=n_samples)
+
     def test_populated_report(self, small_graph):
         sub = TaskSubgraph(small_graph)
         extend_subgraph(sub, [class_name(i) for i in range(6)], small_graph, 3)

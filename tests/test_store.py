@@ -346,6 +346,14 @@ def tsv_texts(draw):
 @example("abcdefg\tRelatio\tabcdefgh\nabcdefghi\tRelation\t" + "a" * 15 + "\n"
          + "b" * 16 + "\tRelation9\t" + "c" * 17 + "\n")  # names of 7, 8, 9, 15, 16 and 17 bytes
 @example("abcdefgé\tR\tabcdefg\nABCDEFGÉ\tRelatioé\t" + "d" * 15 + "é\n")  # é across a word edge
+@example("")  # no lines
+@example("x")  # one short row, no tab and no final newline
+@example("a\tb")  # one short row, one tab
+@example("a\tR\tb")  # a good row without a final newline
+@example("a\tR\tb\nx")  # a short last row without a final newline
+@example("\t\t")  # blank: three empty fields
+@example("#\tc\td\ne\tR\tf")  # a comment with tabs before the first row
+@example("a\tR\tb\tc\n")  # one field too many
 def test_loader_matches_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("tsv") / "g.tsv"
     path.write_bytes(text.encode("utf-8"))

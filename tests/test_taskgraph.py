@@ -21,6 +21,7 @@ from kgcil import (
     vote_head,
 )
 from kgcil.synthetic import class_name, synthetic_graph
+from conftest import FRUIT_FACTS
 
 
 def grant_names(sub, graph, cname):
@@ -207,18 +208,29 @@ class TestExport:
         with pytest.raises(ValueError, match=f"subgraph line 2: bad task index '{task}'"):
             import_subgraph(out, fruit_graph)
 
-    @pytest.mark.parametrize("row,error,match", [
-        ("1\tdurian\tIsA\tfruit", UnknownClass, "class name not in graph: 'durian'"),
-        ("1\tpineapple\tPartOf\tfruit", ValueError, "subgraph line 2: unknown relation 'PartOf'"),
-        ("1\tpineapple\tIsA\tberry", ValueError, "subgraph line 2: unknown tail 'berry'"),
-        ("1\tpineapple\tIsA\tfruit", ValueError,
+    @pytest.mark.parametrize("extra,row,error,match", [
+        ([], "1\tdurian\tIsA\tfruit", UnknownClass, "class name not in graph: 'durian'"),
+        ([], "1\tpineapple\tPartOf\tfruit", ValueError, "subgraph line 2: unknown relation 'PartOf'"),
+        ([], "1\tpineapple\tIsA\tberry", ValueError, "subgraph line 2: unknown tail 'berry'"),
+        ([], "1\tpineapple\tIsA\tfruit", ValueError,
          "subgraph line 2: pair already owned by another class"),
-    ], ids=["unknown-class", "unknown-relation", "unknown-tail", "pair-owned"])
-    def test_import_rejects_row(self, fruit_graph, tmp_path, row, error, match):
+        # `c0 IsA of.` votes for nobody: the tail opens a capture of its own
+        ([("c0", "IsA", "of"), ("c0", "IsA", "thing"), ("c1", "Of", "x")], "1\tc0\tIsA\tof",
+         ValueError, "subgraph line 2: clause does not read back to its path"),
+        # `isa` folds to IsA, so `c2 isa veg.` votes for nobody
+        ([("c2", "isa", "veg"), ("c2", "Color", "green")], "1\tc2\tisa\tveg",
+         ValueError, "subgraph line 2: clause does not read back to its path"),
+        # `isa-red IsA plant.` also reads (IsA, red), so the vote ties with c1
+        ([("isa-red", "IsA", "plant"), ("c1", "IsA", "red")], "1\tisa-red\tIsA\tplant",
+         ValueError, "subgraph line 2: clause does not read back to its path"),
+    ], ids=["unknown-class", "unknown-relation", "unknown-tail", "pair-owned",
+            "tail-keyword", "label-folds", "name-keyword"])
+    def test_import_rejects_row(self, tmp_path, extra, row, error, match):
+        graph = KnowledgeGraph.from_facts(FRUIT_FACTS + extra)
         out = tmp_path / "bad.tsv"
         out.write_text(f"0\tgranny_smith\tIsA\tfruit\n{row}\n", encoding="utf-8")
         with pytest.raises(error, match=match):
-            import_subgraph(out, fruit_graph)
+            import_subgraph(out, graph)
 
 
 class TestInvariantsRandomized:
