@@ -86,19 +86,16 @@ def _candidates(graph: KnowledgeGraph, cid: int):
 
 
 def _reads_back(graph: KnowledgeGraph):
-    """(class name, relations, tail id) -> whether the path's clause reads back to it alone.
+    """(relations, tail id) -> whether the clause '<label> <tail>' parses back to that path alone.
 
-    The rule every path of a subgraph keeps, so that its text votes for its
-    class: the clause parses back to its own relations and tail, and no token
-    of the class name, which leads every clause, is a keyword. With relations
+    The rule every path of a subgraph keeps, with name_opens_no_capture of
+    its class name, so that its text votes for its class. With relations
     Made, Of and Made_Of, the pair (Made, Of) renders as Made_Of and fails,
-    as does a tail `of`, and so does every path of a class named `isa-red`.
-    Each check is a memo of the relation table, so a name is checked once.
+    as does a tail `of`. Both checks are memos of the relation table.
     """
-    names, labels, tails = (graph.relations.memo(check) for check in
-                            (name_opens_no_capture, label_reads_back, tail_reads_back))
+    labels, tails = graph.relations.memo(label_reads_back), graph.relations.memo(tail_reads_back)
     entity_name = graph.entities.name
-    return lambda name, rels, tail: names[name] and labels[rels] and tails[entity_name(tail)]
+    return lambda rels, tail: labels[rels] and tails[entity_name(tail)]
 
 
 def extend_subgraph(subgraph: TaskSubgraph, new_classes, graph: KnowledgeGraph,
@@ -109,8 +106,9 @@ def extend_subgraph(subgraph: TaskSubgraph, new_classes, graph: KnowledgeGraph,
     end up in both the unknown and shortfall lists. Classes whose direct facts
     are exhausted fall back to two-hop chains; whatever is still missing after
     that is recorded as shortfall. A path is granted only when its clause
-    reads back to it (_reads_back), so a class whose name holds a keyword
-    token is granted nothing; it is shortfall.
+    reads back to it (_reads_back). A class whose name holds a keyword token
+    is granted nothing, since its name leads every clause (see
+    name_opens_no_capture); it is shortfall.
     """
     if r_target < 1:
         raise ValueError(f"r_target must be >= 1, got {r_target}")
@@ -131,15 +129,16 @@ def extend_subgraph(subgraph: TaskSubgraph, new_classes, graph: KnowledgeGraph,
             raise ValueError(f"class already assigned: {name!r}")
         paths: list[RelationPath] = []
         fallback = False
-        for rels, tail, chain in _candidates(graph, cid):
-            key = (rels, tail)
-            if key in subgraph.pair_to_class or not reads_back(name, rels, tail):
-                continue
-            paths.append(RelationPath(rels, tail))
-            subgraph.pair_to_class[key] = cid
-            fallback |= chain
-            if len(paths) >= r_target:
-                break
+        if name_opens_no_capture(graph.relations, name):
+            for rels, tail, chain in _candidates(graph, cid):
+                key = (rels, tail)
+                if key in subgraph.pair_to_class or not reads_back(rels, tail):
+                    continue
+                paths.append(RelationPath(rels, tail))
+                subgraph.pair_to_class[key] = cid
+                fallback |= chain
+                if len(paths) >= r_target:
+                    break
         subgraph.assignments[cid] = ClassAssignment(cid, paths, task_index)
         report.grants.append(ClassGrant(name, r_target, len(paths), fallback))
         if len(paths) < r_target:
@@ -180,8 +179,9 @@ def import_subgraph(path, graph: KnowledgeGraph) -> TaskSubgraph:
     """Rebuild a TaskSubgraph from an exported TSV file.
 
     A row that repeats a (class, pair) the class already holds is skipped. A
-    row is rejected when its clause does not read back to it (_reads_back),
-    as allocation would not have granted it.
+    row that allocation would not grant is rejected: its clause does not
+    read back to it (_reads_back), or its class name holds a keyword, which
+    is checked on the class's first row.
     """
     sub = TaskSubgraph(graph)
     reads_back = _reads_back(graph)
@@ -202,13 +202,15 @@ def import_subgraph(path, graph: KnowledgeGraph) -> TaskSubgraph:
             cid = graph.entities.get(name)
             if cid is None:
                 raise UnknownClass(cname)
+            if cid not in sub.assignments and not name_opens_no_capture(graph.relations, name):
+                raise ValueError(f"subgraph line {line_no}: class name {cname!r} holds a keyword")
             rels = graph.relations.resolve(rel_s)
             if rels is None:
                 raise ValueError(f"subgraph line {line_no}: unknown relation {rel_s!r}")
             tail = graph.entities.get(normalize_name(tail_s))
             if tail is None:
                 raise ValueError(f"subgraph line {line_no}: unknown tail {tail_s!r}")
-            if not reads_back(name, rels, tail):
+            if not reads_back(rels, tail):
                 raise ValueError(f"subgraph line {line_no}: clause does not read back to its path")
             key: PairKey = (rels, tail)
             owner = sub.pair_to_class.get(key)

@@ -222,7 +222,7 @@ class TestExport:
          ValueError, "subgraph line 2: clause does not read back to its path"),
         # `isa-red IsA plant.` also reads (IsA, red), so the vote ties with c1
         ([("isa-red", "IsA", "plant"), ("c1", "IsA", "red")], "1\tisa-red\tIsA\tplant",
-         ValueError, "subgraph line 2: clause does not read back to its path"),
+         ValueError, "subgraph line 2: class name 'isa-red' holds a keyword"),
     ], ids=["unknown-class", "unknown-relation", "unknown-tail", "pair-owned",
             "tail-keyword", "label-folds", "name-keyword"])
     def test_import_rejects_row(self, tmp_path, extra, row, error, match):
