@@ -15,6 +15,7 @@ import re
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +53,7 @@ class Record:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(NamedTuple):
     head: int
     relation: int
     tail: int

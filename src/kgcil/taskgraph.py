@@ -10,11 +10,10 @@ two-hop chains serve as fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .store import KnowledgeGraph, Record, normalize_name
 from .triplet_text import label_reads_back, name_opens_no_capture, tail_reads_back
-
-PairKey = tuple[tuple[int, ...], int]
 
 SUBGRAPH_FORMAT = "kgcil-subgraph v1"
 _EXPORT_HEADER = "task\tclass\trelation\ttail"
@@ -26,19 +25,22 @@ class UnknownClass(ValueError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class RelationPath:
-    """One or two relation ids plus the terminal tail entity."""
+class RelationPath(NamedTuple):
+    """One or two relation ids plus the terminal tail entity.
+
+    A tuple, so it hashes and compares equal to the plain (relations, tail)
+    pair: the path is its own key in pair_to_class, and a plain pair finds it.
+    """
 
     relations: tuple[int, ...]
     tail: int
 
     @property
-    def key(self) -> PairKey:
-        return (self.relations, self.tail)
+    def key(self) -> RelationPath:
+        return self
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassAssignment:
     class_id: int
     paths: list[RelationPath]
@@ -69,7 +71,7 @@ class TaskSubgraph:
     def __init__(self, graph: KnowledgeGraph):
         self.graph = graph
         self.assignments: dict[int, ClassAssignment] = {}
-        self.pair_to_class: dict[PairKey, int] = {}
+        self.pair_to_class: dict[RelationPath, int] = {}
         self.tasks = 0
 
     def class_names(self) -> list[str]:
@@ -131,11 +133,11 @@ def extend_subgraph(subgraph: TaskSubgraph, new_classes, graph: KnowledgeGraph,
         fallback = False
         if name_opens_no_capture(graph.relations, name):
             for rels, tail, chain in _candidates(graph, cid):
-                key = (rels, tail)
-                if key in subgraph.pair_to_class or not reads_back(rels, tail):
+                path = RelationPath(rels, tail)
+                if path in subgraph.pair_to_class or not reads_back(rels, tail):
                     continue
-                paths.append(RelationPath(rels, tail))
-                subgraph.pair_to_class[key] = cid
+                paths.append(path)
+                subgraph.pair_to_class[path] = cid
                 fallback |= chain
                 if len(paths) >= r_target:
                     break
@@ -212,16 +214,16 @@ def import_subgraph(path, graph: KnowledgeGraph) -> TaskSubgraph:
                 raise ValueError(f"subgraph line {line_no}: unknown tail {tail_s!r}")
             if not reads_back(rels, tail):
                 raise ValueError(f"subgraph line {line_no}: clause does not read back to its path")
-            key: PairKey = (rels, tail)
-            owner = sub.pair_to_class.get(key)
+            path = RelationPath(rels, tail)
+            owner = sub.pair_to_class.get(path)
             if owner == cid:
                 continue  # a repeated row: the class already holds this path
             if owner is not None:
                 raise ValueError(f"subgraph line {line_no}: pair already owned by another class")
             if cid not in sub.assignments:
                 sub.assignments[cid] = ClassAssignment(cid, [], task_index)
-            sub.assignments[cid].paths.append(RelationPath(rels, tail))
-            sub.pair_to_class[key] = cid
+            sub.assignments[cid].paths.append(path)
+            sub.pair_to_class[path] = cid
             max_task = max(max_task, task_index)
     sub.tasks = max_task + 1
     return sub

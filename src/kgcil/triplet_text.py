@@ -17,7 +17,7 @@ mentions, filler) are never captured.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .store import KnowledgeGraph, NameTable
 
@@ -37,8 +37,7 @@ class EmptyAssignment(ValueError):
     """A class with no allocated paths cannot be rendered."""
 
 
-@dataclass(frozen=True)
-class ParsedTriplet:
+class ParsedTriplet(NamedTuple):
     """Relation-id sequence (length 1 or 2) plus the normalized tail text."""
 
     relations: tuple[int, ...]

@@ -190,7 +190,7 @@ class TestClassify:
         raw = np.array([[1.0, 2.0], [0.0, 3.0]])
         cands = Candidates(["b", "a"], raw)
         in_order = Candidates(["a", "b"], raw)  # given sorted, it still holds its own rows
-        for array in (cands.vectors, cands.c2):
+        for array in (cands.vectors, cands.c2, *cands.nonzero):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 7
         with pytest.raises(FrozenInstanceError):
@@ -199,6 +199,7 @@ class TestClassify:
         assert cands.names == ("a", "b")  # name order, each row moved along with its name
         assert cands.vectors.tolist() == [[0.0, 3.0], [1.0, 2.0]]
         assert cands.c2.tolist() == [9.0, 5.0]
+        assert [a.tolist() for a in cands.nonzero] == [[0, 1, 1], [1, 0, 1], [3.0, 1.0, 2.0]]
         assert in_order.vectors.tolist() == [[1.0, 2.0], [0.0, 3.0]]
 
     def test_classify_checks_the_set_names(self):

@@ -120,6 +120,33 @@ class TestClassOfPair:
         assert ((0,), 1) not in sub.pair_to_class
         assert not sub.assignments
 
+    @pytest.mark.parametrize("imported", [False, True], ids=["extend", "import"])
+    def test_registry_keys_are_the_granted_paths(self, reef_graph, tmp_path, imported):
+        # each path is stored once: its registry key is the path object its class holds
+        g = reef_graph
+        sub = TaskSubgraph(g)
+        extend_subgraph(sub, ["anemonefish"], g, 1)
+        extend_subgraph(sub, ["clownfish"], g, 1)  # a two-hop path
+        if imported:
+            export_subgraph(sub, tmp_path / "sub.tsv")
+            sub = import_subgraph(tmp_path / "sub.tsv", g)
+        assert len(sub.pair_to_class) == 2
+        for key, cid in sub.pair_to_class.items():
+            assert any(key is p for p in sub.assignments[cid].paths)
+            assert key.key is key
+            # a plain (relations, tail) pair, as vote_head builds it, finds the same owner
+            assert sub.pair_to_class[(key.relations, key.tail)] == cid
+
+    def test_records_hold_no_dict(self, fruit_graph):
+        g = fruit_graph
+        sub = TaskSubgraph(g)
+        extend_subgraph(sub, ["granny_smith"], g, 1)
+        assignment = sub.assignments[g.entity_id("granny_smith")]
+        records = [assignment, assignment.paths[0], g.facts_of(g.entity_id("pineapple"))[0],
+                   parse_triplets("pineapple IsA fruit.", g.relations)[0]]
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
+
 
 class TestExport:
     GOLDEN = (
