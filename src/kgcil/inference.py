@@ -93,8 +93,6 @@ class Candidates:
     names: tuple[str, ...]  # distinct and sorted; column j of every ranking is names[j]
     vectors: np.ndarray  # row j: token counts of names[j]'s class text
     c2: np.ndarray = field(init=False)  # each row's squared norm
-    # (row, bucket, count) of every nonzero count, by row then bucket
-    nonzero: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False)
 
     def __post_init__(self):
         given = tuple(self.names)
@@ -106,11 +104,8 @@ class Candidates:
         names = tuple(sorted(rows))
         vectors = np.array([rows[name] for name in names])
         c2 = np.einsum("ij,ij->i", vectors, vectors)
-        at = np.nonzero(vectors)
-        nonzero = (*at, vectors[at])
-        for array in (vectors, c2, *nonzero):
-            array.flags.writeable = False
-        for key, value in zip(("names", "vectors", "c2", "nonzero"), (names, vectors, c2, nonzero)):
+        vectors.flags.writeable = c2.flags.writeable = False
+        for key, value in zip(("names", "vectors", "c2"), (names, vectors, c2)):
             object.__setattr__(self, key, value)
 
 
@@ -171,17 +166,19 @@ def rank_rows(vectors: np.ndarray, candidates: Candidates, votes=None) -> BatchI
     squared norms c2 (candidates) and t2 (row) are exact, and the cosine
     order is the order of d²/c2. While t2 * max(c2)² < 2^52 the float key
     d*d / max(c2, 1) keeps equal rationals equal and distinct ones apart and
-    in order; rows past that bound are ranked with Python integers.
+    in order; rows past that bound are ranked with Python integers. Rows
+    whose width is not the candidates' raise ValueError, also in an empty batch.
     """
+    if vectors.shape[1] != candidates.vectors.shape[1]:
+        raise ValueError(f"text vectors have {vectors.shape[1]} buckets, "
+                         f"the candidates {candidates.vectors.shape[1]}")
     c2 = candidates.c2
-    n, m = len(vectors), len(c2)
     t2 = np.einsum("ij,ij->i", vectors, vectors)
-    # d of cell (i, j) sums row i's count times candidate j's over j's nonzero buckets:
-    # one bincount over the batch, exact in any order, and no BLAS call
-    rows, buckets, counts = candidates.nonzero
-    cells = (np.arange(n) * m)[:, None] + rows
-    dots = np.bincount(cells.ravel(), (vectors[:, buckets] * counts).ravel(),
-                       minlength=n * m).reshape(n, m)
+    # exact in any order; one matrix-vector product per row, as a batched matmul
+    # runs OpenBLAS's threaded GEMM: slower on `kgcil run`, and some processes stall in it
+    dots = np.empty((len(vectors), len(c2)))
+    for i, row in enumerate(vectors):
+        np.matmul(candidates.vectors, row, out=dots[i])
     keys = dots * dots / np.maximum(c2, 1.0)
     best = keys.argmax(axis=1)  # the first maximum: columns run in name order
     tie = (keys == keys.max(axis=1, keepdims=True)).sum(axis=1) > 1

@@ -190,7 +190,7 @@ class TestClassify:
         raw = np.array([[1.0, 2.0], [0.0, 3.0]])
         cands = Candidates(["b", "a"], raw)
         in_order = Candidates(["a", "b"], raw)  # given sorted, it still holds its own rows
-        for array in (cands.vectors, cands.c2, *cands.nonzero):
+        for array in (cands.vectors, cands.c2):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 7
         with pytest.raises(FrozenInstanceError):
@@ -199,7 +199,6 @@ class TestClassify:
         assert cands.names == ("a", "b")  # name order, each row moved along with its name
         assert cands.vectors.tolist() == [[0.0, 3.0], [1.0, 2.0]]
         assert cands.c2.tolist() == [9.0, 5.0]
-        assert [a.tolist() for a in cands.nonzero] == [[0, 1, 1], [1, 0, 1], [3.0, 1.0, 2.0]]
         assert in_order.vectors.tolist() == [[1.0, 2.0], [0.0, 3.0]]
 
     def test_classify_checks_the_set_names(self):
@@ -210,6 +209,15 @@ class TestClassify:
         # the set is sorted, so the same names in any order are accepted
         pred = classify("pineapple", FRUIT[::-1], enc, candidate_set(FRUIT, enc))
         assert pred.final_class == "pineapple"
+
+    def test_rank_rows_checks_the_width(self):
+        # text and candidates from encoders of different dimension are not ranked
+        for text_dim, cand_dim in ((64, 32), (32, 64)):
+            cands = candidate_set(FRUIT, HashingEncoder(cand_dim))
+            with pytest.raises(ValueError, match="buckets"):
+                classify("pineapple", FRUIT, HashingEncoder(text_dim), cands)
+            with pytest.raises(ValueError, match="buckets"):
+                rank_rows(np.zeros((0, text_dim)), cands)
 
     def test_ranking_ignores_the_order_the_pairs_are_given_in(self):
         # the set sorts its (name, vector) pairs, so every order ranks alike, also for
