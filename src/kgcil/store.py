@@ -11,6 +11,7 @@ edge array, and the heads of a (relation, tail) pair are found by binary search.
 from __future__ import annotations
 
 import codecs
+import ctypes
 import re
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
@@ -202,11 +203,12 @@ class KnowledgeGraph:
         """
         # facts are distinct, so sorting the packed (pair, head) key orders them
         # exactly as a lexsort by pair then head would
-        by_pair = self._edges * self._ne
-        by_pair += np.repeat(np.arange(self._ne), np.diff(self._starts))
+        ne, id_type = self._ne, _offset_dtype(self._ne)
+        by_pair = self._edges * ne
+        by_pair += np.repeat(np.arange(ne, dtype=id_type), np.diff(self._starts))
         by_pair.sort()
-        heads = by_pair % self._ne
-        by_pair //= self._ne  # in place: the index never holds three such arrays at once
+        heads = np.remainder(by_pair, ne, out=np.empty(len(by_pair), id_type))
+        by_pair //= ne  # in place: the index never holds three such arrays at once
         return by_pair, heads
 
     @classmethod
@@ -284,7 +286,8 @@ def load_graph(path) -> KnowledgeGraph:
     duplicates and self-loops are dropped (counted in the load stats). Raises
     MalformedLine for the first row without exactly three fields or with a
     name that normalizes to the empty string, UnicodeDecodeError for a file
-    that is not UTF-8, and EmptyGraph when nothing survives.
+    that is not UTF-8, and EmptyGraph when nothing survives. The heap the
+    load freed is returned to the system where glibc allows it.
     """
     columns, line_no, first_short = _read_tsv(path)
 
@@ -295,7 +298,23 @@ def load_graph(path) -> KnowledgeGraph:
             reason = "empty field after normalization"
         return MalformedLine(int(line_no[i]), reason)
 
-    return _ingest(columns, malformed)
+    graph = _ingest(columns, malformed)
+    _trim_heap()
+    return graph
+
+
+def _trim_heap() -> None:
+    """glibc's malloc_trim(0); a no-op where the C library lacks it.
+
+    glibc keeps freed heap resident, and the scan arrays a load frees would
+    otherwise stay in the RSS of every process that loads a graph.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError):
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
 
 
 # -- ingestion core -------------------------------------------------------
@@ -325,7 +344,9 @@ def _row_width(lens):
 def _byte_column(data: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list:
     """The names data[starts[i]:starts[i] + lens[i]] as a name column.
 
-    data must reach the widest row past every start.
+    A row is read as 8-byte words from its name's start, and its last word
+    starts inside the name (at its start when empty), so data must hold 8
+    bytes past the end of every name.
     """
     if not len(lens) or _row_width(lens.min()) == _row_width(lens.max()):
         blocks = [slice(None)]
@@ -339,9 +360,8 @@ def _byte_column(data: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list
     for at in blocks:
         block_lens = lens[at]
         width = int(_row_width(block_lens.max(initial=0)))
-        rows = np.empty((len(block_lens), width // 8), np.uint64)
-        for j in range(width // 8):
-            rows[:, j] = words[starts[at] + 8 * j]
+        # one gather reads every word of every row, straight into place
+        rows = words[np.add.outer(starts[at], np.arange(0, width, 8, dtype=starts.dtype))]
         # only the last word of a row can hold padding
         rows[:, -1] |= _PAD_MASKS[block_lens - (width - 8)]
         column.append((at, rows.view(np.uint8)))
@@ -370,8 +390,13 @@ def _key(name: str) -> int:
 def _name_column(names: list[str]) -> list:
     raw = [name.encode("utf-8", "surrogatepass") for name in names]
     lens = np.fromiter(map(len, raw), np.int64, len(raw))
-    data = np.frombuffer(b"".join(raw) + bytes(int(_row_width(lens.max(initial=0)))), np.uint8)
+    data = np.frombuffer(b"".join(raw) + bytes(8), np.uint8)
     return _byte_column(data, np.cumsum(lens) - lens, lens)
+
+
+def _offset_dtype(size: int) -> type:
+    """int32 for offsets into, or positions among, fewer than 2**31 items; int64 otherwise."""
+    return np.int32 if size < 2 ** 31 else np.int64
 
 
 def _read_tsv(path):
@@ -380,11 +405,15 @@ def _read_tsv(path):
     Returns ([entities, relations], line_no, first_short); entities holds
     each head followed by its tail, and first_short is (row, field count) of
     the first line without exactly three fields, or None. Such a line gets
-    empty names, so the core reports it. One scan finds every tab and
-    newline; a row's fields end at its last three of them. Only lines that
-    start with whitespace, '#' or a non-ASCII byte are decoded in Python, to
-    apply the skip rule. Arrays are deleted as soon as they are used up,
-    which keeps the peak memory of a load low.
+    empty names, so the core reports it. The file's bytes are copied into
+    one zeroed buffer, with a final newline if it lacks one and 8 spare
+    bytes, before the scan, while nothing else is alive: every field is then
+    followed by a separator, so each row's last 8-byte word lies inside the
+    buffer (_byte_column). One scan finds every tab and newline; a row's
+    fields end at its last three of them. Offsets are int32 below 2**31
+    bytes. Only lines that start with whitespace, '#' or a non-ASCII byte
+    are decoded in Python, to apply the skip rule. Arrays are deleted as
+    soon as they are used up, which keeps the peak memory of a load low.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -394,32 +423,43 @@ def _read_tsv(path):
         buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not buf.isascii():
         buf.decode("utf-8")  # invalid UTF-8 raises here
-    if buf and not buf.endswith(b"\n"):
-        buf += b"\n"  # so every line ends at a newline
-    raw = np.frombuffer(buf, np.uint8)
-    seps = np.flatnonzero((raw == ord("\t")) | (raw == ord("\n")))
-    newline = np.flatnonzero(raw[seps] == ord("\n"))  # the last separator of each line
+    size = len(buf) + (bool(buf) and not buf.endswith(b"\n"))  # room for a final newline
+    data = np.zeros(size + 8, np.uint8)  # 8 spare bytes: see _byte_column
+    data[:len(buf)] = np.frombuffer(buf, np.uint8)
+    data[len(buf):size] = ord("\n")  # so every line ends at a newline
+    del buf
+    raw = data[:size]
+    off_type = _offset_dtype(len(data))
+    # in one array: a tab (9) or a newline (10) becomes 0 or 1, any other byte wraps to 2 or more
+    is_sep = raw - ord("\t")
+    is_sep = np.less(is_sep, 2, out=is_sep.view(bool))
+    seps = np.flatnonzero(is_sep)
+    del is_sep
+    seps = seps.astype(off_type)
+    newline = np.flatnonzero(raw[seps] == ord("\n")).astype(off_type)  # the last separator of each line
     ends = seps[newline]
-    starts = np.concatenate(([0], ends + 1))[:len(ends)]
+    starts = np.empty_like(ends)  # each line starts after the previous newline
+    starts[:1] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
     lead = raw[starts]  # an empty line's lead is its own newline
     skip = (lead <= ord(" ")) | (lead == ord("#")) | (lead >= 0x80)
     for i in np.flatnonzero(skip).tolist():
-        line = buf[starts[i]:ends[i]].decode("utf-8")
+        line = data[starts[i]:ends[i]].tobytes().decode("utf-8")
         skip[i] = not line.strip() or line.lstrip().startswith("#")
-    lines = np.flatnonzero(~skip)
+    lines = np.flatnonzero(~skip).astype(off_type)
     del lead, skip
-    n_fields = np.diff(newline, prepend=-1)[lines]  # the separators since the previous newline
+    n_fields = np.diff(newline, prepend=off_type(-1))[lines]  # the separators since the previous newline
     newline = newline[lines]
     starts, ends = starts[lines], ends[lines]
-    first = newline - n_fields + 1  # a short row reads its tabs from its own separators
-    tab1, tab2 = seps[np.maximum(newline - 2, first)], seps[np.maximum(newline - 1, first)]
+    first = newline - n_fields
+    first += 1  # a short row reads its tabs from its own separators
+    tab1, tab2 = newline - 2, newline - 1
+    np.maximum(tab1, first, out=tab1)
+    np.maximum(tab2, first, out=tab2)
+    tab1, tab2 = seps[tab1], seps[tab2]
     short = np.flatnonzero(n_fields != 3)
     first_short = (int(short[0]), int(n_fields[short[0]])) if len(short) else None
     del seps, newline, first, n_fields
-    # zero padding lets every field be read as one fixed-width window
-    data = np.zeros(len(buf) + int(_row_width((ends - starts).max(initial=0))), np.uint8)
-    data[:len(buf)] = raw
-    del buf, raw
     rel_lens = tab2 - tab1 - 1
     rel_lens[short] = 0
     relations = _byte_column(data, tab1 + 1, rel_lens)
@@ -449,9 +489,7 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lexsort of their words. Ids count up in order of first position.
     """
     m = len(rows)
-    # ids outlive every array below: made first, they do not keep the heap
-    # those arrays leave from being returned to the system
-    ids = np.empty(m, np.int64)
+    pos_type = _offset_dtype(m)  # of order and runs; ids and first stay int64
     p = max(m - 1, 0).bit_length()
     low = (1 << p) - 1
     packed = _row_keys(rows)
@@ -459,7 +497,8 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     packed &= np.uint64(~low & 0xFFFFFFFFFFFFFFFF)
     packed |= np.arange(m, dtype=np.uint64)
     packed.sort()
-    order = (packed & np.uint64(low)).view(np.int64)
+    order = packed.astype(pos_type)  # the cast keeps the low 32 or 64 bits, so the p position bits
+    order &= low
     packed >>= p
     new = np.ones(m, bool)
     np.not_equal(packed[1:], packed[:-1], out=new[1:])
@@ -472,7 +511,7 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         clash |= sorted_word[1:] != sorted_word[:-1]
     del sorted_word
     clash &= ~new[1:]
-    run = np.cumsum(new)
+    run = np.cumsum(new, dtype=pos_type)
     if clash.any():
         clashed = np.zeros(run[-1] + 1, bool)
         clashed[run[1:][clash]] = True
@@ -482,7 +521,7 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         order[at] = sub[np.lexsort((*words[sub].T[::-1], run[at]))]
         inner = at[~new[at]]
         new[inner] = (words[order[inner]] != words[order[inner - 1]]).any(axis=1)
-        run = np.cumsum(new)
+        run = np.cumsum(new, dtype=pos_type)
     del clash
     run -= 1
     # number the runs in order of their first rows
@@ -490,8 +529,12 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     by_first = np.argsort(first)
     run_id = np.empty(len(first), np.int64)
     run_id[by_first] = np.arange(len(first))
-    ids[order] = run_id[run]
-    return ids, first[by_first]
+    # made last: made first, ids would take heap that the temporaries above
+    # then find taken, and they would grow the process instead
+    ids = np.empty(m, np.int64)
+    ids[order] = run
+    np.take(run_id, ids, out=ids, mode="clip")  # in place: ids are intp, so take copies no index
+    return ids, first[by_first].astype(np.int64)
 
 
 def _intern_column(column: list, size: int, normalize, plain: np.ndarray):

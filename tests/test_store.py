@@ -3,6 +3,7 @@ from __future__ import annotations
 import codecs
 import hashlib
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -222,7 +223,7 @@ def ref_load(path):
     rs: list[int] = []
     ts: list[int] = []
     loops = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # one leading BOM is ignored
         for line_no, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -268,8 +269,9 @@ def assert_reads_back(table):
 def graph_state(g):
     """The graph as ref_load returns it: heads, relations and tails are decoded from the offsets."""
     starts, edges = np.asarray(g._starts), g._edges
-    arrays = (starts, edges, *g._pairs)
-    assert all(a.dtype == np.int64 for a in arrays)
+    pair_keys, pair_heads = g._pairs
+    assert starts.dtype == edges.dtype == pair_keys.dtype == np.int64
+    assert pair_heads.dtype == np.int32  # entity ids below 2**31
     assert starts[0] == 0 and starts[-1] == len(edges) and (np.diff(starts) >= 0).all()
     heads = np.repeat(np.arange(len(g.entities)), np.diff(starts))
     rels, tails = np.divmod(edges, len(g.entities))
@@ -354,10 +356,33 @@ def tsv_texts(draw):
 @example("\t\t")  # blank: three empty fields
 @example("#\tc\td\ne\tR\tf")  # a comment with tabs before the first row
 @example("a\tR\tb\tc\n")  # one field too many
+# the scan pads its buffer with 8 bytes: a row's last word must still fit
+@example("a\tR\tb\nc\tR\t" + "t" * 20)  # a 20-byte tail on the last line, no final newline
+@example("a\tR\tb\nx\n")  # a short last row: its tail starts past the final newline
+@example("\ufeffa\tR\tb\r\nc\tR\tabcdefghi\r\n")  # BOM and CRLF, a 9-byte last name
 def test_loader_matches_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("tsv") / "g.tsv"
     path.write_bytes(text.encode("utf-8"))
     assert_parity(path)
+
+
+def test_offset_dtype_switches_at_2_31():
+    assert store._offset_dtype(2 ** 31 - 1) is np.int32
+    assert store._offset_dtype(2 ** 31) is np.int64
+
+
+def test_load_peak_memory_is_bounded(tmp_path):
+    # the scan and the interning each hold a few per-line arrays, not a dozen
+    path = tmp_path / "large.tsv"
+    large_graph_tsv(path, n_entities=50_000, n_relations=20, n_facts=120_000, n_classes=50, seed=1)
+    tracemalloc.start()
+    try:
+        graph = load_graph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.n_facts == 120_000
+    assert peak <= 5.0 * path.stat().st_size
 
 
 def test_loader_matches_reference_on_fixture_graphs(tmp_path, fruit_tsv):
