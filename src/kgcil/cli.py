@@ -118,16 +118,16 @@ def cmd_run(args) -> int:
     if args.jobs < 0:
         raise ValueError(f"--jobs must be 0 or more, got {args.jobs}")
     doc = load_run_config(args.config)
+    if args.jobs or "jobs" in doc:
+        log.warning("'jobs' is deprecated and ignored: every session runs in one process")
     graph = load_graph(doc["graph_path"])
     schedule = _schedule_from_config(doc)
     generator = GeneratorConfig.from_dict(doc.get("generator", {}))
     encoder = encoder_from_config(doc.get("encoder", {}))
-    jobs = args.jobs or doc.get("jobs") or os.cpu_count() or 1
     outdir = doc["output_dir"]
     os.makedirs(outdir, exist_ok=True)
     diagnostics = os.path.join(outdir, "diagnostics.jsonl") if doc.get("diagnostics") else None
-    arms = dict(jobs=jobs, class_text_mode=doc.get("class_text_mode", "name"),
-                diagnostics_path=diagnostics)
+    arms = dict(class_text_mode=doc.get("class_text_mode", "name"), diagnostics_path=diagnostics)
     log.warning("%s", SIMULATION_CAVEAT)
     run_args = (graph, schedule, generator, doc["r_target"], encoder, doc["orders"])
     paired = run_paired_comparison(*run_args, **arms) if doc.get("compare_baseline") else None
@@ -192,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run an incremental experiment from a JSON config")
     p.add_argument("config")
-    p.add_argument("--jobs", type=int, default=0, help="sample parallelism (default: config or all cores)")
+    p.add_argument("--jobs", type=int, default=0, help="deprecated and ignored")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("query", help="diagnose one inference against a built subgraph")

@@ -60,7 +60,7 @@ RUN_CONFIG_SCHEMA = {
         },
         "orders": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
         "output_dir": {"type": "string"},
-        "jobs": {"type": "integer", "minimum": 1},
+        "jobs": {"type": "integer", "minimum": 1, "deprecated": True},  # ignored
         "compare_baseline": {"type": "boolean"},
         "class_text_mode": {"enum": list(CLASS_TEXT_MODES)},
         "diagnostics": {"type": "boolean"},

@@ -38,7 +38,8 @@ CLASS_TEXT_MODES = ("name", "name_plus_triplets")
 class TaskSchedule:
     """Class list plus a split recipe; the split applies to a shuffled order.
 
-    A recipe that cannot split its own class list raises ValueError here.
+    A recipe that cannot split its own class list, or samples_per_class
+    below 1, raises ValueError here.
     """
 
     classes: list[str]
@@ -50,6 +51,8 @@ class TaskSchedule:
     samples_per_class: int = 100
 
     def __post_init__(self):
+        if self.samples_per_class < 1:
+            raise ValueError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
         self.classes = list(self.classes)
         self.split(self.classes)
 
@@ -278,42 +281,14 @@ class Session:
         }
 
 
-_WORKER_SESSION: Session | None = None
-
-
-def _evaluate_worker(cname: str) -> dict:
-    return _WORKER_SESSION.evaluate(cname)
-
-
-def _evaluate_session(session: Session, seen: list[str], jobs: int) -> list[dict]:
-    if jobs > 1:
-        # imported here: the pool's modules are most of this module's import time
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            global _WORKER_SESSION
-            _WORKER_SESSION = session
-            try:
-                # fork inherits the session without pickling it per task; a class's
-                # texts come from its own (seed, session, class) stream, so which
-                # worker draws them does not change them
-                mp = multiprocessing.get_context("fork")
-                with ProcessPoolExecutor(max_workers=jobs, mp_context=mp) as pool:
-                    return list(pool.map(_evaluate_worker, seen))
-            finally:
-                _WORKER_SESSION = None
-    return [session.evaluate(c) for c in seen]
-
-
 def run_experiment(graph: KnowledgeGraph, schedule: TaskSchedule,
                    generator: GeneratorConfig, r_target: int, encoder, orders,
-                   *, jobs: int = 1, class_text_mode: str = "name",
+                   *, class_text_mode: str = "name",
                    diagnostics_path=None) -> MetricsReport:
     """Run the schedule once per class order and aggregate metrics.
 
     orders is a list of shuffle seeds; every class must resolve to a graph
-    entity (UnknownClass otherwise). Results are independent of jobs.
+    entity (UnknownClass otherwise).
     """
     orders = list(orders)
     if not orders:
@@ -328,7 +303,7 @@ def run_experiment(graph: KnowledgeGraph, schedule: TaskSchedule,
     try:
         results = [
             _run_order(graph, schedule, names, generator, r_target, encoder, seed,
-                       jobs, class_text_mode, diag)
+                       class_text_mode, diag)
             for seed in orders
         ]
     finally:
@@ -341,7 +316,7 @@ def run_experiment(graph: KnowledgeGraph, schedule: TaskSchedule,
 
 
 def _run_order(graph, schedule, names, generator, r_target, encoder, seed,
-               jobs, class_text_mode, diag) -> OrderResult:
+               class_text_mode, diag) -> OrderResult:
     rng = np.random.default_rng(seed)
     ordered = [names[i] for i in rng.permutation(len(names))]
     sessions = schedule.split(ordered)
@@ -356,7 +331,7 @@ def _run_order(graph, schedule, names, generator, r_target, encoder, seed,
             base = list(sess_classes)
         session = Session.build(sub, generator, encoder, class_text_mode, t,
                                schedule.samples_per_class, seed, diag is not None)
-        rows = _evaluate_session(session, seen, jobs)
+        rows = [session.evaluate(c) for c in seen]
         per_class = {row["name"]: [row["correct"], row["total"]] for row in rows}
         n_total = sum(v[1] for v in per_class.values())
         n_correct = sum(v[0] for v in per_class.values())

@@ -13,9 +13,8 @@ Randomness is one PCG64 stream per (seed, session, class). The harness
 draws a class's samples as the slice of rows 0 .. n-1 of that stream, and
 sample key (session, class id, s) names row s; each mode lays a row out in
 fixed columns (see _uniforms, _corrupted, _baseline). A text thus depends
-only on the seed and its key: not on the slice it is drawn in, nor on the
-process, so results are the same for any --jobs and a one-key generate()
-replays its row of the class batch.
+only on the seed and its key, not on the slice it is drawn in, so a
+one-key generate() replays its row of the class batch.
 """
 
 from __future__ import annotations

@@ -46,7 +46,6 @@ CASES = {
     "corrupted_filler": (dict(NOISY, filler=True), {}),
     "baseline_gmm": (dict(mode="baseline_gmm", p_hypernym=0.5, seed=3), {}),
     "name_plus_triplets": (dict(NOISY, filler=True), {"class_text_mode": "name_plus_triplets"}),
-    "corrupted_jobs2": (dict(NOISY, filler=True), {"jobs": 2}),
 }
 
 QUERY_TEXTS = [

@@ -373,7 +373,6 @@ def test_criterion_9_simulation_disclosure(tmp_path, capsys):
         "generator": {"mode": "corrupted", "p_drop": 0.2},
         "orders": [0],
         "output_dir": str(tmp_path / "out"),
-        "jobs": 1,
     }
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(config))

@@ -1,12 +1,12 @@
 from __future__ import annotations
 
 import json
-from unittest import mock
 
 import pytest
 
-from kgcil import TaskSchedule, cli
+from kgcil import TaskSchedule
 from kgcil.cli import EXIT_INPUT, EXIT_OK, main, parse_classes_file
+from kgcil.harness import TIMINGS
 from kgcil.synthetic import class_name, synthetic_facts, write_tsv
 
 FRUIT_GOLDEN_EXPORT = (
@@ -140,7 +140,6 @@ class TestRun:
             "generator": {"mode": "oracle"},
             "orders": [0, 1],
             "output_dir": str(tmp_path / "out"),
-            "jobs": 1,
         }
         doc.update(overrides)
         path = tmp_path / "run.json"
@@ -174,18 +173,32 @@ class TestRun:
         csv_text = (tmp_path / "out" / "sessions.csv").read_text()
         assert "baseline" in csv_text and "augmented" in csv_text
 
-    def test_negative_jobs_is_input_error(self, capsys, synth_tsv, tmp_path, monkeypatch):
+    def test_negative_jobs_is_input_error(self, capsys, synth_tsv, tmp_path):
         cfg = self.write_config(tmp_path, synth_tsv)
         code, out, err = run_cli(capsys, "run", str(cfg), "--jobs", "-3")
         assert code == EXIT_INPUT
         assert out == ""
         assert "--jobs" in err
         assert not (tmp_path / "out").exists()
-        # 0 still defers to the config
-        run = mock.Mock(wraps=cli.run_experiment)
-        monkeypatch.setattr(cli, "run_experiment", run)
-        assert run_cli(capsys, "run", str(cfg), "--jobs", "0")[0] == EXIT_OK
-        assert run.call_args.kwargs["jobs"] == 1
+
+        # any other --jobs, and the config key, are ignored with one warning
+        def metrics(*argv, **overrides):
+            cfg = self.write_config(tmp_path, synth_tsv, orders=[0],
+                                    generator={"mode": "corrupted", "p_drop": 0.3,
+                                               "p_swap": 0.3, "seed": 1}, **overrides)
+            code, _, err = run_cli(capsys, "run", str(cfg), *argv)
+            assert code == EXIT_OK
+            doc = json.loads((tmp_path / "out" / "metrics.json").read_text())
+            del doc["config"]["run_config"]
+            for session in doc["orders"][0]["sessions"]:
+                for key in TIMINGS:
+                    del session[key]
+            return doc, err.count("'jobs' is deprecated")
+
+        plain, warnings = metrics()
+        assert warnings == 0
+        assert metrics("--jobs", "2") == (plain, 1)
+        assert metrics(jobs=2) == (plain, 1)
 
     def test_schema_violation_names_key(self, capsys, synth_tsv, tmp_path):
         cfg = self.write_config(tmp_path, synth_tsv, r_targetx=3)

@@ -41,6 +41,12 @@ class TestSchedule:
         assert [len(p) for p in parts] == [3, 3, 2, 2]
         assert sum(parts, []) == classes
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_rejects_samples_per_class_below_one(self, samples):
+        # 0 once divided by zero in the run, and -1 gave zero accuracies over totals of -1
+        with pytest.raises(ValueError, match=f"samples_per_class must be >= 1, got {samples}"):
+            TaskSchedule.b0([class_name(i) for i in range(6)], 2, samples_per_class=samples)
+
     def test_b0_rejects_too_many_tasks(self):
         with pytest.raises(ValueError):
             TaskSchedule.b0(["a", "b"], 3)
@@ -178,14 +184,6 @@ class TestRunExperiment:
                            HashingEncoder(128), orders=[0, 1])
         assert a.comparable() == b.comparable()
 
-    def test_jobs_do_not_change_results(self, small_graph, small_schedule):
-        cfg = GeneratorConfig(p_drop=0.4, p_swap=0.3, seed=4)
-        serial = run_experiment(small_graph, small_schedule, cfg, 3,
-                                HashingEncoder(128), orders=[0], jobs=1)
-        parallel = run_experiment(small_graph, small_schedule, cfg, 3,
-                                  HashingEncoder(128), orders=[0], jobs=2)
-        assert serial.comparable() == parallel.comparable()
-
     def test_diagnostics_jsonl(self, small_graph, small_schedule, tmp_path):
         path = tmp_path / "preds.jsonl"
         report = run_experiment(
@@ -199,14 +197,13 @@ class TestRunExperiment:
         for key in ("raw_text", "final_class", "true_class", "session", "order_seed"):
             assert key in rec
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_records_replay_one_key_generate(self, small_graph, small_schedule, tmp_path, jobs):
+    def test_records_replay_one_key_generate(self, small_graph, small_schedule, tmp_path):
         # the sample address a per-sample replay relies on: record s of class c in
         # session t is row s of stream (t, c), as a one-key generate() draws it
         cfg = GeneratorConfig(p_drop=0.3, p_swap=0.3, seed=6, filler=True)
         path = tmp_path / "diagnostics.jsonl"
         run_experiment(small_graph, small_schedule, cfg, 3, HashingEncoder(64), orders=[2],
-                       jobs=jobs, diagnostics_path=path)
+                       diagnostics_path=path)
         records = [json.loads(line) for line in path.read_text().splitlines()]
         names = small_schedule.classes
         ordered = [names[i] for i in np.random.default_rng(2).permutation(len(names))]
@@ -232,16 +229,13 @@ class TestRunExperiment:
         names = [class_name(i) for i in range(7)] + ["item_000_0"]
         sched = TaskSchedule.b0(names, 2, samples_per_class=3)
         cfg = GeneratorConfig(p_drop=0.3, p_swap=0.3, seed=1)
-        reports = {}
-        for jobs in (1, 2):
-            path = tmp_path / f"jobs{jobs}.jsonl"
-            reports[jobs] = run_experiment(graph, sched, cfg, 2, HashingEncoder(64), orders=[0],
-                                           jobs=jobs, diagnostics_path=path)
-            records = [json.loads(line) for line in path.read_text().splitlines()]
-            item = [r["raw_text"] for r in records if r["true_class"] == "item_000_0"]
-            assert item and set(item) == {"This is a photo of item_000_0"}
-        assert "item_000_0" in reports[1].orders[0].sessions[-1].per_class
-        assert reports[1].comparable() == reports[2].comparable()
+        path = tmp_path / "diagnostics.jsonl"
+        report = run_experiment(graph, sched, cfg, 2, HashingEncoder(64), orders=[0],
+                                diagnostics_path=path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        item = [r["raw_text"] for r in records if r["true_class"] == "item_000_0"]
+        assert item and set(item) == {"This is a photo of item_000_0"}
+        assert "item_000_0" in report.orders[0].sessions[-1].per_class
 
     def test_report_carries_caveat_and_config(self, small_graph, small_schedule):
         report = run_experiment(
