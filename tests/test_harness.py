@@ -197,16 +197,18 @@ class TestRunExperiment:
         for key in ("raw_text", "final_class", "true_class", "session", "order_seed"):
             assert key in rec
 
-    def test_records_replay_one_key_generate(self, small_graph, small_schedule, tmp_path):
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_records_replay_one_key_generate(self, small_graph, small_schedule, tmp_path,
+                                             order):
         # the sample address a per-sample replay relies on: record s of class c in
         # session t is row s of stream (t, c), as a one-key generate() draws it
         cfg = GeneratorConfig(p_drop=0.3, p_swap=0.3, seed=6, filler=True)
         path = tmp_path / "diagnostics.jsonl"
-        run_experiment(small_graph, small_schedule, cfg, 3, HashingEncoder(64), orders=[2],
+        run_experiment(small_graph, small_schedule, cfg, 3, HashingEncoder(64), orders=[order],
                        diagnostics_path=path)
         records = [json.loads(line) for line in path.read_text().splitlines()]
         names = small_schedule.classes
-        ordered = [names[i] for i in np.random.default_rng(2).permutation(len(names))]
+        ordered = [names[i] for i in np.random.default_rng(order).permutation(len(names))]
         sub = TaskSubgraph(small_graph)
         checked = 0
         for t, new in enumerate(small_schedule.split(ordered)):
