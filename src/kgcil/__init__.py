@@ -36,6 +36,7 @@ from .inference import (
     BatchInference,
     Candidates,
     EmptyCandidates,
+    PieceTable,
     Prediction,
     VoteTally,
     augment_text,

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .encoders import HashingEncoder
-from .inference import Candidates, infer_batch, prediction_record
+from .inference import Candidates, PieceTable, infer_batch, prediction_record
 from .simulate import GeneratorConfig, TextGenerator, baseline_config
 from .store import KnowledgeGraph, Record, normalize_name
 from .taskgraph import TaskSubgraph, UnknownClass, extend_subgraph, render_export
@@ -233,8 +233,7 @@ class Session:
 
     subgraph: TaskSubgraph
     generator: TextGenerator
-    candidates: Candidates  # the classes seen so far
-    encoder: object
+    pieces: PieceTable  # ranks against the classes seen so far; lives while the registry is fixed
     index: int
     samples: int  # per class
     order_seed: int | None  # diagnostics records name their order with it
@@ -250,8 +249,8 @@ class Session:
             texts = [render_training_text(a, subgraph.graph) if a.paths else name
                      for a, name in zip(subgraph.assignments.values(), names)]
         return cls(subgraph, TextGenerator(subgraph.graph, subgraph, config),
-                   Candidates(names, encoder.encode_batch(texts)), encoder, index, samples,
-                   order_seed, diagnostics)
+                   PieceTable(subgraph, Candidates(names, encoder.encode_batch(texts)), encoder),
+                   index, samples, order_seed, diagnostics)
 
     def evaluate(self, cname: str) -> dict:
         """Evaluate one class's samples as one batch: rows 0 .. samples-1 of its stream."""
@@ -263,7 +262,7 @@ class Session:
         texts = self.generator.generate_batch(cid, stream, rows,
                                               baseline=not self.subgraph.assignments[cid].paths)
         gen_ms = (time.perf_counter() - t0) * 1000.0
-        batch = infer_batch(texts, self.subgraph, self.candidates, self.encoder)
+        batch = infer_batch(texts, self.pieces)
         records = None
         if self.diagnostics:
             where = {"order_seed": self.order_seed, "session": self.index, "true_class": cname}

@@ -6,16 +6,18 @@ name is prepended to the raw text, and the augmented text is ranked by cosine
 similarity against a session's Candidates: the class names seen so far and
 their token counts, built once per session.
 
-infer_batch runs the pipeline for many texts at once (the harness sends one
-batch per class). Ranking is exact arithmetic on the encoder's token counts,
-so a text ranks the same in a batch as alone. The set keeps its names sorted,
-so a ranking is one stable sort by descending key: ties go to the smallest name.
+infer_batch runs it for a batch of texts from a session's PieceTable. Ranking
+is exact arithmetic on token counts, so a text ranks the same from its pieces as
+alone. The set keeps its names sorted, so a ranking is one stable sort by
+descending key: ties go to the smallest name.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -62,10 +64,7 @@ def vote_head(triplets, subgraph: TaskSubgraph) -> tuple[VoteTally, str | None]:
     tally = VoteTally()
     graph = subgraph.graph
     for trip in triplets:
-        cid = None
-        tail_id = graph.entities.get(trip.tail)
-        if tail_id is not None:
-            cid = subgraph.pair_to_class.get((trip.relations, tail_id))
+        cid = subgraph.pair_to_class.get((trip.relations, graph.entities.get(trip.tail)))
         if cid is None:
             tally.unmatched.append(trip)
         else:
@@ -117,15 +116,14 @@ def encode_candidates(names, encoder) -> Candidates:
 class BatchInference:
     """Ranked texts; row i of every per-text field belongs to the i-th text."""
 
-    votes: list[tuple[VoteTally | None, str | None]]
     candidates: Candidates  # its names are the column order of keys
     keys: np.ndarray  # rank keys d²/c2, texts x candidates (see rank_rows)
-    t2: np.ndarray  # each text's squared count norm
     best: np.ndarray  # winning column per row
     tie: np.ndarray  # the row's top cosine is shared
     exact: dict[int, np.ndarray]  # column order of each row ranked past the float bound
+    detail: Callable[[], tuple[np.ndarray, list]]  # each row's t2 and (tally, head), on demand
     vote_ms: float = 0.0  # parse + vote, whole batch
-    classify_ms: float = 0.0  # augment + encode + rank, whole batch
+    classify_ms: float = 0.0  # encode + rank, whole batch
 
     def final_class(self, i: int) -> str:
         return self.candidates.names[self.best[i]]
@@ -135,16 +133,17 @@ class BatchInference:
 
         The scores run in ranking order: descending key, ties in column (name) order.
         """
+        t2, votes = self.detail()
         top = np.argsort(-self.keys, axis=1, kind="stable")[:, :TOP_K]
         for i, order in self.exact.items():
             top[i] = order[:TOP_K]
-        t2 = np.maximum(self.t2, 1.0)[:, None]
+        t2 = np.maximum(t2, 1.0)[:, None]
         cosines = np.sqrt(np.take_along_axis(self.keys, top, axis=1) / t2).tolist()
         names = self.candidates.names
         return [Prediction(names[cols[0]], dict(zip([names[j] for j in cols], scores)),
                            tie, graph_head=head, tally=tally)
                 for cols, scores, tie, (tally, head)
-                in zip(top.tolist(), cosines, self.tie.tolist(), self.votes)]
+                in zip(top.tolist(), cosines, self.tie.tolist(), votes)]
 
 
 def _exact_best(row: np.ndarray, candidates: Candidates) -> tuple[np.ndarray, bool]:
@@ -159,7 +158,15 @@ def _exact_best(row: np.ndarray, candidates: Candidates) -> tuple[np.ndarray, bo
     return np.array(order), len(order) > 1 and keys[order[0]] == keys[order[1]]
 
 
-def rank_rows(vectors: np.ndarray, candidates: Candidates, votes=None) -> BatchInference:
+def _keys(dots: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank keys d*d / max(c2, 1), each row's first maximum and whether it is shared."""
+    keys = dots * dots / np.maximum(c2, 1.0)
+    best = keys.argmax(axis=1)  # the first maximum: columns run in name order
+    tie = (keys == keys.max(axis=1, keepdims=True)).sum(axis=1) > 1
+    return keys, best, tie
+
+
+def rank_rows(vectors: np.ndarray, candidates: Candidates) -> BatchInference:
     """Rank rows of token counts against the candidates by cosine; ties go to the smallest name.
 
     Counts are non-negative integers, so a row's dot products d and the
@@ -179,15 +186,13 @@ def rank_rows(vectors: np.ndarray, candidates: Candidates, votes=None) -> BatchI
     dots = np.empty((len(vectors), len(c2)))
     for i, row in enumerate(vectors):
         np.matmul(candidates.vectors, row, out=dots[i])
-    keys = dots * dots / np.maximum(c2, 1.0)
-    best = keys.argmax(axis=1)  # the first maximum: columns run in name order
-    tie = (keys == keys.max(axis=1, keepdims=True)).sum(axis=1) > 1
+    keys, best, tie = _keys(dots, c2)
     exact = {}
     for i in np.flatnonzero(t2 * c2.max() ** 2 >= 2.0 ** 52).tolist():
         exact[i], tie[i] = _exact_best(vectors[i], candidates)
         best[i] = exact[i][0]
-    return BatchInference(votes or [(None, None)] * len(vectors), candidates, keys, t2, best,
-                          tie, exact)
+    return BatchInference(candidates, keys, best, tie, exact,
+                          lambda: (t2, [(None, None)] * len(vectors)))
 
 
 def classify(text: str, names, encoder, candidates: Candidates) -> Prediction:
@@ -197,25 +202,110 @@ def classify(text: str, names, encoder, candidates: Candidates) -> Prediction:
     return rank_rows(encoder.encode(text)[None], candidates).predictions()[0]
 
 
-def infer_batch(texts, subgraph: TaskSubgraph, candidates: Candidates, encoder) -> BatchInference:
-    """parse -> vote -> augment -> classify for many texts with one encode.
+class PieceTable:
+    """A session's distinct '.'-pieces, each parsed, voted, encoded and scored once.
 
-    Every row equals infer() on that text alone. When no triplet of a text
-    matches the registry, the text is ranked as it stands.
+    '.' ends every capture and token, so a text's triplets are its pieces' and the
+    counts of "<head> <raw>" the head's plus the pieces'. A row holds a piece's
+    matched triplets, keyed tid * len(heads) + their class's place in heads, and
+    its scores: dot products with the candidates, then token count. Row 0 is the
+    empty piece; a head name is a piece too. A grown pair registry voids the table.
     """
+
+    def __init__(self, subgraph: TaskSubgraph, candidates: Candidates, encoder):
+        self.subgraph, self.candidates, self.encoder = subgraph, candidates, encoder
+        self.pairs = len(subgraph.pair_to_class)
+        owners = sorted(subgraph.assignments, key=subgraph.graph.entities.name)
+        self.heads = list(map(subgraph.graph.entities.name, owners))  # first maximum: smallest name
+        self._column = {cid: j for j, cid in enumerate(owners)}
+        self._rows, self._keys = {}, {}  # piece -> row, matched ParsedTriplet -> key
+        self._matched: list[tuple[int, ...]] = [()]  # row -> keys of its matched triplets
+        self._fresh: list[str] = []  # pieces not scored yet
+        self._scores = np.zeros((1, len(candidates.names) + 1))
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def _add(self, piece: str, found: tuple[int, ...] | None = None) -> int:
+        if found is None:  # a head name comes with (): a name that owns pairs opens no capture
+            graph, owner, found = self.subgraph.graph, self.subgraph.pair_to_class.get, ()
+            for trip in parse_triplets(piece, graph.relations):  # matched as in vote_head
+                cid = owner((trip.relations, graph.entities.get(trip.tail)))
+                if cid is not None:
+                    key = len(self._keys) * len(self.heads) + self._column[cid]
+                    found += (self._keys.setdefault(trip, key),)
+        self._matched.append(found)
+        self._fresh.append(piece)
+        return self._rows.setdefault(piece, len(self._matched) - 1)
+
+    def vote(self, texts) -> tuple[list[list[int]], list[str | None]]:
+        """Each text's piece rows (its head's row last) and its head, as VoteTally.best picks it."""
+        get, add, matched, width = self._rows.get, self._add, self._matched, len(self.heads)
+        rows = [[get(p) or add(p) for p in text.split(".")] for text in texts]
+        keys = [{k for r in pieces for k in matched[r]} for pieces in rows]
+        cells = [i * width + k % width for i, found in enumerate(keys) for k in found]
+        heads: list[str | None] = [None] * len(rows)
+        if cells:
+            votes = np.bincount(cells, minlength=len(rows) * width).reshape(len(rows), width)
+            best = votes.argmax(axis=1)
+            for i in np.flatnonzero(votes.max(axis=1)).tolist():
+                heads[i] = head = self.heads[best[i]]
+                rows[i].append(get(head) or add(head, ()))
+        return rows, heads
+
+    def sums(self, rows: list[list[int]]) -> np.ndarray:
+        """Per list of rows, the sum of their scores; fresh pieces are encoded and scored first."""
+        if self._fresh:
+            start, end = len(self._matched) - len(self._fresh), len(self._matched)
+            if end > len(self._scores):  # doubled: few batches copy, and unused zeros stay unpaged
+                grown = np.zeros((2 * end, self._scores.shape[1]))
+                grown[:start], self._scores = self._scores[:start], grown
+            counts = self.encoder.encode_batch(self._fresh)
+            for r, vector in enumerate(counts, start):  # one matvec each, as in rank_rows
+                np.matmul(self.candidates.vectors, vector, out=self._scores[r, :-1])
+            self._scores[start:end, -1] = counts.sum(axis=1)
+            self._fresh.clear()
+        total = np.zeros((len(rows), self._scores.shape[1]))
+        for column in np.array(list(zip_longest(*rows, fillvalue=0)), np.intp):  # 0-padded
+            total += self._scores[column]  # exact integers: sums in any order are equal
+        return total
+
+    def detail(self, texts, heads) -> tuple[np.ndarray, list]:
+        """Each text's t2 and (VoteTally, head), by parse_triplets, vote_head and an encode."""
+        votes = [vote_head(parse_triplets(t, self.subgraph.graph.relations), self.subgraph)
+                 for t in texts]
+        vectors = self.encoder.encode_batch([augment_text(t, h) for t, h in zip(texts, heads)])
+        return np.einsum("ij,ij->i", vectors, vectors), votes
+
+
+def infer_batch(texts, table: PieceTable) -> BatchInference:
+    """parse -> vote -> augment -> classify for many texts, from a session's piece table.
+
+    Row i equals rank_rows of augment_text(text, vote_head's head), from the
+    table's sums of dot products and token count n. As t2 <= n², only rows with
+    n² * max(c2)² >= 2^52 can pass rank_rows' bound: rank_rows ranks those from
+    their encodes. A table whose pair registry has grown raises ValueError.
+    """
+    if len(table.subgraph.pair_to_class) != table.pairs:
+        raise ValueError("the pair registry has grown since the piece table was built")
     t0 = time.perf_counter()
-    relations = subgraph.graph.relations
-    votes = [vote_head(parse_triplets(t, relations), subgraph) for t in texts]
+    rows, heads = table.vote(texts)
     t1 = time.perf_counter()
-    augmented = [augment_text(t, head) for t, (_, head) in zip(texts, votes)]
-    batch = rank_rows(encoder.encode_batch(augmented), candidates, votes)
-    batch.vote_ms, batch.classify_ms = (t1 - t0) * 1000.0, (time.perf_counter() - t1) * 1000.0
-    return batch
+    candidates, total = table.candidates, table.sums(rows)
+    keys, best, tie = _keys(total[:, :-1], candidates.c2)
+    far, exact = np.flatnonzero(total[:, -1] ** 2 * candidates.c2.max() ** 2 >= 2.0 ** 52), {}
+    if len(far):
+        ranked = rank_rows(table.encoder.encode_batch(
+            [augment_text(texts[i], heads[i]) for i in far.tolist()]), candidates)
+        keys[far], best[far], tie[far] = ranked.keys, ranked.best, ranked.tie
+        exact = {int(far[k]): order for k, order in ranked.exact.items()}
+    return BatchInference(candidates, keys, best, tie, exact, lambda: table.detail(texts, heads),
+                          (t1 - t0) * 1000.0, (time.perf_counter() - t1) * 1000.0)
 
 
 def infer(raw_text: str, subgraph: TaskSubgraph, candidates: Candidates, encoder) -> Prediction:
-    """infer_batch on one text, with the tally kept for diagnostics."""
-    return infer_batch([raw_text], subgraph, candidates, encoder).predictions()[0]
+    """infer_batch on one text, from a table of its own, with the tally kept for diagnostics."""
+    return infer_batch([raw_text], PieceTable(subgraph, candidates, encoder)).predictions()[0]
 
 
 def prediction_record(raw_text: str, pred: Prediction, relations) -> dict:

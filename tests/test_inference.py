@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kgcil import (
@@ -13,6 +14,7 @@ from kgcil import (
     EmptyCandidates,
     HashingEncoder,
     ParsedTriplet,
+    PieceTable,
     TaskSubgraph,
     augment_text,
     classify,
@@ -21,10 +23,14 @@ from kgcil import (
     infer_batch,
     parse_triplets,
     prediction_record,
+    render_clause,
     render_training_text,
     vote_head,
 )
+from kgcil import inference
+from kgcil.harness import Session
 from kgcil.inference import TOP_K, rank_rows
+from kgcil.simulate import GeneratorConfig
 from kgcil.synthetic import class_name, synthetic_graph
 
 
@@ -320,7 +326,7 @@ class TestInfer:
         cands = candidate_set(FRUIT, enc)
         texts = ["it IsA fruit.", "", "it AtLocation pizza. it AtLocation store.",
                  "This is a photo of a apple", "it IsA fruit. it AtLocation pizza."]
-        batch = infer_batch(texts, fruit_sub, cands, enc)
+        batch = infer_batch(texts, PieceTable(fruit_sub, cands, enc))
         assert batch.vote_ms > 0.0  # the batch's own stage timers
         assert batch.classify_ms > 0.0
         for text, got in zip(texts, batch.predictions()):
@@ -334,7 +340,131 @@ class TestInfer:
     def test_batch_empty_candidates(self, fruit_sub):
         enc = HashingEncoder(16)
         with pytest.raises(EmptyCandidates):  # the set's build raises before infer_batch runs
-            infer_batch(["it IsA fruit."], fruit_sub, candidate_set([], enc), enc)
+            infer_batch(["it IsA fruit."], PieceTable(fruit_sub, candidate_set([], enc), enc))
+
+
+def pieces_graph():
+    """Eight classes at r=2, four of them granted; clauses of the other four match nothing."""
+    g = synthetic_graph(8, n_relations=4, facts_per_class=3, contention=0.4, with_chains=True,
+                        seed=3)
+    probe = TaskSubgraph(g)
+    extend_subgraph(probe, [class_name(i) for i in range(8)], g, 2)
+    clauses = {a.class_id: [render_clause(g, p) for p in a.paths]
+               for a in probe.assignments.values()}
+    sub = TaskSubgraph(g)
+    extend_subgraph(sub, [class_name(i) for i in range(4)], g, 2)
+    matched = [c for cid in sub.assignments for c in clauses[cid]]
+    unmatched = [c for cid in clauses if cid not in sub.assignments for c in clauses[cid]]
+    return g, sub, matched, unmatched
+
+
+PIECES = pieces_graph()
+
+
+class TestPieceTable:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_batch_equals_per_text_reference(self, data):
+        # a table batch against vote_head(parse_triplets(t)), then rank_rows / classify of
+        # augment_text(t, head): head, final class, tie, exact order and keys bit for bit
+        g, sub, matched, unmatched = PIECES
+        enc = HashingEncoder(data.draw(st.sampled_from([16, 64])))
+        clause = st.sampled_from(matched + unmatched + ["a photo of", "the", "IsA", ""])
+        piece = st.lists(clause, max_size=3).map(" ".join)  # two clauses: two keywords, one piece
+        texts = data.draw(st.lists(st.lists(piece, max_size=5).map(". ".join), max_size=6))
+        texts += [f"{matched[0]}. it {matched[0]}. {matched[1]}",  # a triplet repeated
+                  f"it {matched[0]} {matched[2]} {unmatched[0]}.",  # keywords sharing a piece
+                  "", "no dot at all", ". ".join(matched + unmatched) * 3]
+        texts = data.draw(st.permutations(texts))
+        # candidates: a subset of the registry's classes, so a head may be missing, plus an
+        # outsider; the scale puts rows past the 2^52 float bound
+        names = data.draw(st.lists(st.sampled_from(sub.class_names()), unique=True, min_size=1))
+        names = names + ["zz_outsider"] * data.draw(st.booleans())
+        mode = data.draw(st.sampled_from(["name", "name_plus_triplets"]))
+        class_texts = [render_training_text(sub.assignments[g.entity_id(n)], g)
+                       if mode == "name_plus_triplets" and g.entity_id(n) in sub.assignments
+                       else n for n in names]
+        scale = data.draw(st.sampled_from([1.0, 2.0 ** 9, 2.0 ** 14]))
+        cands = Candidates(names, enc.encode_batch(class_texts) * scale)
+        table = PieceTable(sub, cands, enc)
+        cut = data.draw(st.integers(0, len(texts)))  # two batches on one table
+        batches = [infer_batch(texts[:cut], table), infer_batch(texts[cut:], table)]
+        rows = [(b, i) for b in batches for i in range(len(b.keys))]
+        preds = [p for b in batches for p in b.predictions()]
+        for text, (batch, i), got in zip(texts, rows, preds):
+            tally, head = vote_head(parse_triplets(text, g.relations), sub)
+            augmented = augment_text(text, head)
+            ref = rank_rows(enc.encode_batch([augmented]), cands)
+            assert got.graph_head == head and got.tally == tally
+            assert batch.final_class(i) == ref.final_class(0)
+            assert batch.tie[i] == ref.tie[0]
+            assert batch.keys[i].tobytes() == ref.keys[0].tobytes()
+            assert np.array_equal(batch.exact.get(i, []), ref.exact.get(0, []))
+            want = classify(augmented, names, enc, cands)
+            assert (got.final_class, got.tie) == (want.final_class, want.tie)
+            assert list(got.similarity_scores.items()) == list(want.similarity_scores.items())
+        if scale == 2.0 ** 14:  # c2 >= 2^28, so every row with a token is past the bound
+            assert any(b.exact for b in batches)
+
+    def test_one_class_twice_adds_no_rows(self, small_session):
+        first = small_session.evaluate(class_name(0))
+        size = len(small_session.pieces)
+        again = small_session.evaluate(class_name(0))
+        assert len(small_session.pieces) == size > 0
+        assert (again["correct"], again["total"]) == (first["correct"], first["total"])
+
+    def test_table_lives_one_registry(self):
+        # a session-0 piece mentions a pair granted only in session 1: the session-0 table
+        # is refused once the registry grows, and session 1 starts from an empty table
+        g = synthetic_graph(6, n_relations=4, facts_per_class=3, seed=1)
+        probe = TaskSubgraph(g)
+        extend_subgraph(probe, [class_name(0), class_name(1)], g, 2)
+        later = probe.assignments[g.entity_id(class_name(1))].paths[0]
+        text = f"it {render_clause(g, later)}."
+        sub = TaskSubgraph(g)
+        extend_subgraph(sub, [class_name(0)], g, 2)
+        enc, config = HashingEncoder(64), GeneratorConfig(seed=0)
+        session0 = Session.build(sub, config, enc, "name", 0, 2, 0, False)
+        assert len(session0.pieces) == 0
+        assert infer_batch([text], session0.pieces).predictions()[0].graph_head is None
+        extend_subgraph(sub, [class_name(1)], g, 2)
+        with pytest.raises(ValueError, match="registry"):
+            infer_batch([text], session0.pieces)
+        session1 = Session.build(sub, config, enc, "name", 1, 2, 0, False)
+        assert len(session1.pieces) == 0
+        assert infer_batch([text], session1.pieces).predictions()[0].graph_head == class_name(1)
+
+    def test_stage_timers_hold_piece_growth(self, monkeypatch):
+        # a new piece is parsed and voted inside vote_ms, and encoded and scored inside
+        # classify_ms; a piece seen before costs neither again
+        g, sub, matched, _ = PIECES
+        enc = HashingEncoder(32)
+        table = PieceTable(sub, candidate_set(sub.class_names(), enc), enc)
+        slow_parse, slow_encode = inference.parse_triplets, enc.encode_batch
+
+        def parse_triplets(*args):
+            time.sleep(0.05)
+            return slow_parse(*args)
+
+        def encode_batch(texts):
+            time.sleep(0.05)
+            return slow_encode(texts)
+
+        monkeypatch.setattr(inference, "parse_triplets", parse_triplets)
+        monkeypatch.setattr(enc, "encode_batch", encode_batch)
+        batch = infer_batch([f"it {matched[0]}"], table)  # the head's row is scored, not parsed
+        assert 50.0 <= batch.vote_ms < 100.0 and 50.0 <= batch.classify_ms < 100.0
+        batch = infer_batch([f"it {matched[0]}"], table)
+        assert batch.vote_ms < 50.0 and batch.classify_ms < 50.0
+
+
+@pytest.fixture
+def small_session():
+    g = synthetic_graph(6, n_relations=4, facts_per_class=3, seed=2)
+    sub = TaskSubgraph(g)
+    extend_subgraph(sub, [class_name(i) for i in range(6)], g, 2)
+    config = GeneratorConfig(mode="corrupted", p_drop=0.3, p_swap=0.3, filler=True, seed=1)
+    return Session.build(sub, config, HashingEncoder(64), "name", 0, 20, 0, False)
 
 
 class TestRecord:
