@@ -38,32 +38,24 @@ class HashingEncoder:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
         self.dimension = dimension
         self._buckets: dict[str, int] = {}  # token -> bucket
-        self._pieces: dict[str, list[int]] = {}  # '.'-piece -> its tokens' buckets
 
     def encode(self, text: str) -> np.ndarray:
         return self.encode_batch([text])[0]
 
     def encode_batch(self, texts) -> np.ndarray:
-        """One row of token counts per text, float64, shape (len(texts), dimension).
+        """One row of token counts per text, float64, shape (len(texts), dimension)."""
+        return self.counts(self.buckets(texts))
 
-        '.' splits tokens, so a text's buckets are its '.'-pieces' buckets in
-        order; each distinct piece is tokenized once per encoder.
-        """
-        n, dim = len(texts), self.dimension
-        buckets, pieces = self._buckets, self._pieces
-        rows = []
-        for text in texts:
-            row: list[int] = []
-            for piece in text.split("."):
-                found = pieces.get(piece)
-                if found is None:
-                    tokens = _TOKEN_RE.findall(piece.lower())
-                    for token in tokens:
-                        if token not in buckets:
-                            buckets[token] = fnv1a_64(token.encode("utf-8")) % dim
-                    found = pieces[piece] = [buckets[token] for token in tokens]
-                row += found
-            rows.append(row)
+    def buckets(self, texts) -> list[list[int]]:
+        """Per text, the bucket of each of its tokens, in order; each token is hashed once."""
+        buckets, rows = self._buckets, [_TOKEN_RE.findall(text.lower()) for text in texts]
+        for token in set(chain.from_iterable(rows)).difference(buckets):
+            buckets[token] = fnv1a_64(token.encode("utf-8")) % self.dimension
+        return [[buckets[token] for token in tokens] for tokens in rows]
+
+    def counts(self, rows) -> np.ndarray:
+        """One row of counts per list of buckets, as encode_batch gives it: one bincount."""
+        n, dim = len(rows), self.dimension
         lengths = [len(row) for row in rows]
         cells = np.repeat(np.arange(n, dtype=np.int64) * dim, lengths)
         cells += np.fromiter(chain.from_iterable(rows), np.int64, sum(lengths))

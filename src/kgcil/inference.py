@@ -203,13 +203,14 @@ def classify(text: str, names, encoder, candidates: Candidates) -> Prediction:
 
 
 class PieceTable:
-    """A session's distinct '.'-pieces, each parsed, voted, encoded and scored once.
+    """A session's distinct '.'-pieces, each parsed, voted, tokenized and scored once.
 
-    '.' ends every capture and token, so a text's triplets are its pieces' and the
-    counts of "<head> <raw>" the head's plus the pieces'. A row holds a piece's
-    matched triplets, keyed tid * len(heads) + their class's place in heads, and
-    its scores: dot products with the candidates, then token count. Row 0 is the
-    empty piece; a head name is a piece too. A grown pair registry voids the table.
+    The one code that cuts text at '.', which ends every capture and token: a text's
+    triplets are its pieces' and the tokens of "<head> <raw>" the head's plus the
+    pieces'. A row holds a piece's triplets, the matched ones also as keys tid *
+    len(heads) + their class's place in heads, its token buckets and its scores (dot
+    products with the candidates, then token count). A head name is a row, not parsed;
+    row 0 is the zero row a batch pads with. A grown pair registry voids the table.
     """
 
     def __init__(self, subgraph: TaskSubgraph, candidates: Candidates, encoder):
@@ -219,63 +220,70 @@ class PieceTable:
         self.heads = list(map(subgraph.graph.entities.name, owners))  # first maximum: smallest name
         self._column = {cid: j for j, cid in enumerate(owners)}
         self._rows, self._keys = {}, {}  # piece -> row, matched ParsedTriplet -> key
+        self._pieces: list[str | None] = [None]  # row -> its piece
+        self._triplets: list[list[ParsedTriplet]] = [[]]  # row -> its parsed triplets
         self._matched: list[tuple[int, ...]] = [()]  # row -> keys of its matched triplets
-        self._fresh: list[str] = []  # pieces not scored yet
+        self._buckets: list[list[int]] = [[]]  # row -> its tokens' buckets
         self._scores = np.zeros((1, len(candidates.names) + 1))
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    def _add(self, piece: str, found: tuple[int, ...] | None = None) -> int:
-        if found is None:  # a head name comes with (): a name that owns pairs opens no capture
-            graph, owner, found = self.subgraph.graph, self.subgraph.pair_to_class.get, ()
-            for trip in parse_triplets(piece, graph.relations):  # matched as in vote_head
-                cid = owner((trip.relations, graph.entities.get(trip.tail)))
-                if cid is not None:
-                    key = len(self._keys) * len(self.heads) + self._column[cid]
-                    found += (self._keys.setdefault(trip, key),)
+    def _add(self, piece: str, triplets: list[ParsedTriplet] | None = None) -> int:
+        if triplets is None:  # a head name comes with []: a name that owns pairs opens no capture
+            triplets = parse_triplets(piece, self.subgraph.graph.relations)
+        graph, owner, found = self.subgraph.graph, self.subgraph.pair_to_class.get, ()
+        for trip in triplets:  # matched as in vote_head
+            cid = owner((trip.relations, graph.entities.get(trip.tail)))
+            if cid is not None:
+                key = len(self._keys) * len(self.heads) + self._column[cid]
+                found += (self._keys.setdefault(trip, key),)
+        self._triplets.append(triplets)
         self._matched.append(found)
-        self._fresh.append(piece)
+        self._pieces.append(piece)
         return self._rows.setdefault(piece, len(self._matched) - 1)
 
-    def vote(self, texts) -> tuple[list[list[int]], list[str | None]]:
-        """Each text's piece rows (its head's row last) and its head, as VoteTally.best picks it."""
+    def vote(self, texts) -> list[list[int]]:
+        """Each text's piece rows, then its head's row (VoteTally.best's pick) if it has a head."""
         get, add, matched, width = self._rows.get, self._add, self._matched, len(self.heads)
         rows = [[get(p) or add(p) for p in text.split(".")] for text in texts]
         keys = [{k for r in pieces for k in matched[r]} for pieces in rows]
         cells = [i * width + k % width for i, found in enumerate(keys) for k in found]
-        heads: list[str | None] = [None] * len(rows)
         if cells:
             votes = np.bincount(cells, minlength=len(rows) * width).reshape(len(rows), width)
             best = votes.argmax(axis=1)
             for i in np.flatnonzero(votes.max(axis=1)).tolist():
-                heads[i] = head = self.heads[best[i]]
-                rows[i].append(get(head) or add(head, ()))
-        return rows, heads
+                head = self.heads[best[i]]
+                rows[i].append(get(head) or add(head, []))
+        return rows
 
     def sums(self, rows: list[list[int]]) -> np.ndarray:
-        """Per list of rows, the sum of their scores; fresh pieces are encoded and scored first."""
-        if self._fresh:
-            start, end = len(self._matched) - len(self._fresh), len(self._matched)
+        """Per list of rows, the sum of their scores; new rows are tokenized and scored first."""
+        start, end = len(self._buckets), len(self._pieces)
+        if start < end:
             if end > len(self._scores):  # doubled: few batches copy, and unused zeros stay unpaged
                 grown = np.zeros((2 * end, self._scores.shape[1]))
                 grown[:start], self._scores = self._scores[:start], grown
-            counts = self.encoder.encode_batch(self._fresh)
+            self._buckets += self.encoder.buckets(self._pieces[start:])
+            counts = self.encoder.counts(self._buckets[start:])
             for r, vector in enumerate(counts, start):  # one matvec each, as in rank_rows
                 np.matmul(self.candidates.vectors, vector, out=self._scores[r, :-1])
             self._scores[start:end, -1] = counts.sum(axis=1)
-            self._fresh.clear()
         total = np.zeros((len(rows), self._scores.shape[1]))
         for column in np.array(list(zip_longest(*rows, fillvalue=0)), np.intp):  # 0-padded
             total += self._scores[column]  # exact integers: sums in any order are equal
         return total
 
-    def detail(self, texts, heads) -> tuple[np.ndarray, list]:
-        """Each text's t2 and (VoteTally, head), by parse_triplets, vote_head and an encode."""
-        votes = [vote_head(parse_triplets(t, self.subgraph.graph.relations), self.subgraph)
-                 for t in texts]
-        vectors = self.encoder.encode_batch([augment_text(t, h) for t, h in zip(texts, heads)])
-        return np.einsum("ij,ij->i", vectors, vectors), votes
+    def counts(self, rows: list[list[int]]) -> np.ndarray:
+        """Per list of rows, the counts of their tokens, as encode_batch gives them."""
+        return self.encoder.counts([[b for r in row for b in self._buckets[r]] for row in rows])
+
+    def detail(self, rows: list[list[int]]) -> tuple[np.ndarray, list]:
+        """Per list of rows, t2 and (VoteTally, head) by vote_head over its rows' triplets."""
+        vectors, triplets = self.counts(rows), self._triplets
+        return np.einsum("ij,ij->i", vectors, vectors), [
+            vote_head(dict.fromkeys(t for r in row for t in triplets[r]), self.subgraph)
+            for row in rows]
 
 
 def infer_batch(texts, table: PieceTable) -> BatchInference:
@@ -284,22 +292,21 @@ def infer_batch(texts, table: PieceTable) -> BatchInference:
     Row i equals rank_rows of augment_text(text, vote_head's head), from the
     table's sums of dot products and token count n. As t2 <= n², only rows with
     n² * max(c2)² >= 2^52 can pass rank_rows' bound: rank_rows ranks those from
-    their encodes. A table whose pair registry has grown raises ValueError.
+    the table's token counts. A table whose pair registry has grown raises ValueError.
     """
     if len(table.subgraph.pair_to_class) != table.pairs:
         raise ValueError("the pair registry has grown since the piece table was built")
     t0 = time.perf_counter()
-    rows, heads = table.vote(texts)
+    rows = table.vote(texts)
     t1 = time.perf_counter()
     candidates, total = table.candidates, table.sums(rows)
     keys, best, tie = _keys(total[:, :-1], candidates.c2)
     far, exact = np.flatnonzero(total[:, -1] ** 2 * candidates.c2.max() ** 2 >= 2.0 ** 52), {}
     if len(far):
-        ranked = rank_rows(table.encoder.encode_batch(
-            [augment_text(texts[i], heads[i]) for i in far.tolist()]), candidates)
+        ranked = rank_rows(table.counts([rows[i] for i in far.tolist()]), candidates)
         keys[far], best[far], tie[far] = ranked.keys, ranked.best, ranked.tie
         exact = {int(far[k]): order for k, order in ranked.exact.items()}
-    return BatchInference(candidates, keys, best, tie, exact, lambda: table.detail(texts, heads),
+    return BatchInference(candidates, keys, best, tie, exact, lambda: table.detail(rows),
                           (t1 - t0) * 1000.0, (time.perf_counter() - t1) * 1000.0)
 
 

@@ -7,7 +7,8 @@ Stands in for a fine-tuned captioning model at evaluation time. Three modes:
   for one belonging to a confusable class (p_swap); survivors are rendered as
   headless clauses, optionally wrapped in filler sentences.
 * baseline_gmm: a bare caption, "This is a photo of <mention>", where the
-  mention collapses to a hypernym or confusable class with p_hypernym.
+  mention collapses to a hypernym or confusable class with p_hypernym; the
+  mention is rendered as one parser token (caption_mention).
 
 Randomness is one PCG64 stream per (seed, session, class). The harness
 draws a class's samples as the slice of rows 0 .. n-1 of that stream, and
@@ -26,7 +27,7 @@ import numpy as np
 
 from .store import KnowledgeGraph, Record
 from .taskgraph import TaskSubgraph
-from .triplet_text import render_clause, render_training_text
+from .triplet_text import caption_mention, render_clause, render_training_text
 
 MODES = ("oracle", "corrupted", "baseline_gmm")
 
@@ -166,7 +167,7 @@ class TextGenerator:
         """Captions from columns collapse, mention pick."""
         name = self.graph.entities.name(cid)
         pool = self._hypernyms.get(cid, []) + self.confusables.get(name, [])
-        captions = [BASELINE_TEMPLATE.format(mention=m) for m in [name] + pool]
+        captions = [BASELINE_TEMPLATE.format(mention=caption_mention(m)) for m in [name] + pool]
         p = self.config.p_hypernym if pool else 0.0
         return [captions[1 + int(pick * len(pool)) if collapse < p else 0]
                 for collapse, pick in u.tolist()]

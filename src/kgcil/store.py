@@ -13,6 +13,7 @@ from __future__ import annotations
 import codecs
 import ctypes
 import re
+import weakref
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -70,14 +71,16 @@ class LoadStats(Record):
 
 
 class _Memo(dict):
-    """fn(key) on first sight of key; every later lookup is one dict probe."""
+    """fn(table, key) on first sight of key; every later lookup is one dict probe.
 
-    def __init__(self, fn):
-        super().__init__()
-        self._fn = fn
+    It reaches the table that holds it through a weak reference, so the two make no cycle.
+    """
+
+    def __init__(self, fn, table):
+        self._fn, self._table = fn, weakref.ref(table)
 
     def __missing__(self, key):
-        value = self[key] = self._fn(key)
+        value = self[key] = self._fn(self._table(), key)
         return value
 
 
@@ -161,13 +164,10 @@ class NameTable:
         return None
 
     def memo(self, fn) -> "_Memo":
-        """key -> fn(self, key), computed on first sight of key.
-
-        One memo per fn, so each rule derived from the names keeps its own.
-        """
+        """key -> fn(self, key) on first sight of key; each rule fn keeps a memo of its own."""
         memo = self._memos.get(fn)
         if memo is None:
-            memo = self._memos[fn] = _Memo(lambda key: fn(self, key))
+            memo = self._memos[fn] = _Memo(fn, self)
         return memo
 
     def keywords(self) -> dict[str, tuple[int, ...]]:

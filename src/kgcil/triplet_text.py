@@ -28,6 +28,7 @@ INSTRUCTION_PROMPT = (
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|[.,;]")
 _WORD_RE = re.compile(r"[A-Za-z0-9_]+")
+_NON_WORD_RE = re.compile(r"[^A-Za-z0-9_]")
 _TAIL_RE = re.compile(r"[a-z0-9_]+")
 _BOUNDARY = {".", ",", ";"}
 _ARTICLES = {"a", "an", "the"}
@@ -87,26 +88,24 @@ def name_opens_no_capture(relations: NameTable, name: str) -> bool:
     return not any(relations.resolve(t, fold=True) for t in _WORD_RE.findall(name))
 
 
+def caption_mention(name: str) -> str:
+    """The name as one token, which at a caption's end opens no capture, even as a keyword.
+
+    Each character outside [A-Za-z0-9_] becomes '_', so `isa-red` no longer reads
+    (IsA, red); the encoder splits tokens at '_' too, so a lowercase name keeps them.
+    """
+    return _NON_WORD_RE.sub("_", name)
+
+
 def parse_triplets(text: str, relations: NameTable) -> list[ParsedTriplet]:
     """Extract (relation-sequence, tail) pairs from free text.
 
     Never raises on odd input; at worst returns an empty list. Duplicates are
     removed, first occurrence wins. Relations always come from the given
     table, so a parsed triplet can never name an unknown relation.
-
-    '.' ends every capture, so a text's triplets are its '.'-pieces' triplets
-    in order, deduplicated. Each distinct piece is parsed once per table.
     """
-    pieces = relations.memo(_parse_piece)
-    found: list[ParsedTriplet] = []
-    for piece in text.split("."):
-        found += pieces[piece]
-    return list(dict.fromkeys(found)) if len(found) > 1 else found
-
-
-def _parse_piece(relations: NameTable, piece: str) -> list[ParsedTriplet]:
     keywords = relations.keywords()
-    tokens = _TOKEN_RE.findall(piece)
+    tokens = _TOKEN_RE.findall(text)
     # per token: the relation ids it opens, () for a tail word, None for a boundary
     rels = [None if t in _BOUNDARY else keywords[t] for t in tokens]
     out: list[ParsedTriplet] = []
@@ -124,4 +123,4 @@ def _parse_piece(relations: NameTable, piece: str) -> list[ParsedTriplet]:
         if tail_tokens:
             out.append(ParsedTriplet(rels[i], "_".join(tail_tokens)))
         i = j
-    return out
+    return list(dict.fromkeys(out)) if len(out) > 1 else out

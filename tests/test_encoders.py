@@ -84,10 +84,10 @@ def test_permutation_invariance(tokens, rnd):
     assert np.allclose(enc.encode(" ".join(tokens)), enc.encode(" ".join(shuffled)))
 
 
-# -- piece-wise encoding against the whole-text encoder it replaced --------
+# -- a text's buckets are its '.'-pieces', which the piece table relies on --
 
 def whole_text_encode_batch(texts, dim):
-    """encode_batch as it was before texts were tokenized '.'-piece by piece."""
+    """Each text's token counts: its lowercase tokens hashed by FNV-1a, then one bincount."""
     tokens = [re.findall(r"[a-z0-9]+", text.lower()) for text in texts]
     cells = np.repeat(np.arange(len(texts), dtype=np.int64) * dim, [len(t) for t in tokens])
     cells += np.array([fnv1a_64(t.encode("utf-8")) % dim for row in tokens for t in row],
@@ -115,8 +115,11 @@ def encode_texts(draw):
 @given(st.lists(encode_texts(), max_size=12), st.sampled_from([1, 7, 256]))
 def test_piecewise_encode_matches_whole_text(texts, dim):
     texts = texts + texts[:3]
-    got = HashingEncoder(dim).encode_batch(texts)
-    assert got.tobytes() == whole_text_encode_batch(texts, dim).tobytes()
+    enc = HashingEncoder(dim)
+    pieces = [[b for row in enc.buckets(t.split(".")) for b in row] for t in texts]
+    assert pieces == enc.buckets(texts)
+    assert enc.counts(pieces).tobytes() == whole_text_encode_batch(texts, dim).tobytes()
+    assert enc.encode_batch(texts).tobytes() == whole_text_encode_batch(texts, dim).tobytes()
 
 
 SHARED_ENCODERS = {dim: HashingEncoder(dim) for dim in (1, 7, 256)}
@@ -125,6 +128,6 @@ SHARED_ENCODERS = {dim: HashingEncoder(dim) for dim in (1, 7, 256)}
 @settings(max_examples=150, deadline=None)
 @given(st.lists(encode_texts(), max_size=12), st.sampled_from([1, 7, 256]))
 def test_piecewise_encode_with_one_encoder_across_calls(texts, dim):
-    # the piece memo lives on the encoder and holds every earlier example's pieces
+    # the token memo lives on the encoder and holds every earlier example's tokens
     got = SHARED_ENCODERS[dim].encode_batch(texts + texts[:3])
     assert got.tobytes() == whole_text_encode_batch(texts + texts[:3], dim).tobytes()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from kgcil import (
     render_training_text,
     vote_head,
 )
-from kgcil import inference
+from kgcil import encoders, inference
 from kgcil.harness import Session
 from kgcil.inference import TOP_K, rank_rows
 from kgcil.simulate import GeneratorConfig
@@ -434,24 +435,43 @@ class TestPieceTable:
         assert len(session1.pieces) == 0
         assert infer_batch([text], session1.pieces).predictions()[0].graph_head == class_name(1)
 
+    def test_only_the_table_cuts_text_at_dots(self, monkeypatch):
+        # the parser and the encoder see pieces and head names, never a whole text: not in
+        # a batch, not in its predictions, not for a row past the float bound
+        g, sub, matched, unmatched = PIECES
+        enc = HashingEncoder(16)
+        cands = Candidates(sub.class_names(), enc.encode_batch(sub.class_names()) * 2.0 ** 14)
+        seen, parse, tokens = [], inference.parse_triplets, encoders._TOKEN_RE
+        monkeypatch.setattr(inference, "parse_triplets",
+                            lambda text, rels: seen.append(text) or parse(text, rels))
+        monkeypatch.setattr(encoders, "_TOKEN_RE",  # what the encoder tokenizes, by any method
+                            SimpleNamespace(findall=lambda text: seen.append(text)
+                                            or tokens.findall(text)))
+        texts = [f"it {matched[0]}. it {matched[1]}. it {unmatched[0]}.",
+                 f"{matched[2]}. {matched[2]}", "", "no dot at all", "..."]
+        batch = infer_batch(texts, PieceTable(sub, cands, enc))
+        assert batch.exact  # rows past the float bound were ranked
+        assert [p.graph_head is not None for p in batch.predictions()][:2] == [True, True]
+        assert seen and not [text for text in seen if "." in text]
+
     def test_stage_timers_hold_piece_growth(self, monkeypatch):
-        # a new piece is parsed and voted inside vote_ms, and encoded and scored inside
+        # a new piece is parsed and voted inside vote_ms, and tokenized and scored inside
         # classify_ms; a piece seen before costs neither again
         g, sub, matched, _ = PIECES
         enc = HashingEncoder(32)
         table = PieceTable(sub, candidate_set(sub.class_names(), enc), enc)
-        slow_parse, slow_encode = inference.parse_triplets, enc.encode_batch
+        slow_parse, slow_buckets = inference.parse_triplets, enc.buckets
 
         def parse_triplets(*args):
             time.sleep(0.05)
             return slow_parse(*args)
 
-        def encode_batch(texts):
+        def buckets(texts):
             time.sleep(0.05)
-            return slow_encode(texts)
+            return slow_buckets(texts)
 
         monkeypatch.setattr(inference, "parse_triplets", parse_triplets)
-        monkeypatch.setattr(enc, "encode_batch", encode_batch)
+        monkeypatch.setattr(enc, "buckets", buckets)
         batch = infer_batch([f"it {matched[0]}"], table)  # the head's row is scored, not parsed
         assert 50.0 <= batch.vote_ms < 100.0 and 50.0 <= batch.classify_ms < 100.0
         batch = infer_batch([f"it {matched[0]}"], table)

@@ -10,6 +10,8 @@ import pytest
 import kgcil
 from kgcil import (
     GeneratorConfig,
+    HashingEncoder,
+    KnowledgeGraph,
     NoAssignment,
     TaskSubgraph,
     TextGenerator,
@@ -21,6 +23,7 @@ from kgcil import (
     render_clause,
     render_training_text,
 )
+from kgcil.harness import Session
 from kgcil.simulate import _FILLER_BETWEEN_P, _uniforms
 
 
@@ -314,3 +317,18 @@ def test_cli_import_leaves_numpy_random_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def test_keyword_name_caption_votes_for_no_class():
+    # isa-red holds the keyword `isa`, so it gets no paths and is evaluated on bare
+    # captions; its mention must not read (IsA, red), which c1 owns
+    g = KnowledgeGraph.from_facts([("isa-red", "IsA", "fruit"), ("c1", "IsA", "red"),
+                                   ("c1", "AtLocation", "tree")])
+    sub = TaskSubgraph(g)
+    extend_subgraph(sub, ["isa-red", "c1"], g, 2)
+    assert not sub.assignments[g.entity_id("isa-red")].paths
+    session = Session.build(sub, GeneratorConfig(seed=0), HashingEncoder(64), "name", 0, 3, 0,
+                            True)
+    records = session.evaluate("isa-red")["records"]
+    assert [r["graph_head"] for r in records] == [None] * 3
+    assert [r["matched"] for r in records] == [[]] * 3

@@ -524,3 +524,20 @@ def test_names_sharing_high_bits_load_like_reference(tmp_path, monkeypatch):
     facts = [(h, "R", t) for h in names for t in names[::-1]] + [("S", "Q", "s ")]
     assert_parity(write_tsv(tmp_path / "g.tsv", facts))
     assert graph_state(load_graph(tmp_path / "g.tsv")) == graph_state(KnowledgeGraph.from_facts(facts))
+
+
+def test_a_dropped_graph_frees_its_name_tables_without_a_collection():
+    # a table's memos reach it through a weak reference, so no table is a reference cycle
+    import gc
+    import weakref
+
+    graph = KnowledgeGraph.from_facts(FRUIT_FACTS)
+    graph.entity_id("apple")
+    graph.relations.keywords()["IsA"]
+    refs = [weakref.ref(graph.entities), weakref.ref(graph.relations)]
+    gc.disable()
+    try:
+        del graph
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

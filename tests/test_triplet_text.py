@@ -3,23 +3,27 @@ from __future__ import annotations
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kgcil import (
+    BASELINE_TEMPLATE,
     INSTRUCTION_PROMPT,
     ClassAssignment,
     EmptyAssignment,
+    HashingEncoder,
     KnowledgeGraph,
     NameTable,
     RelationPath,
     TaskSubgraph,
     extend_subgraph,
+    normalize_name,
     parse_triplets,
     render_training_text,
 )
 from kgcil.synthetic import class_name, synthetic_graph
-from kgcil.triplet_text import ParsedTriplet, label_reads_back, tail_reads_back
+from kgcil.triplet_text import (ParsedTriplet, caption_mention, label_reads_back,
+                                tail_reads_back)
 
 
 def parsed_names(graph, triplets):
@@ -270,35 +274,12 @@ def test_keyword_rules():
     assert not table.memo(tail_reads_back)["made_of"]  # a tail made_of reads as Made + Of
 
 
-# -- piece-wise parsing against the whole-text parser it replaced ----------
+# -- a text parses as its '.'-pieces do, which the piece table relies on ---
 
-_ARTICLES = {"a", "an", "the"}
-
-
-def whole_text_parse(text, relations):
-    """parse_triplets as it was before texts were parsed '.'-piece by piece."""
-    keywords = relations.keywords()
-    tokens = _TOKEN_RE.findall(text)
-    rels = [None if t in {".", ",", ";"} else keywords[t] for t in tokens]
-    out, seen = [], set()
-    i, n = 0, len(tokens)
-    while i < n:
-        if not rels[i]:
-            i += 1
-            continue
-        j = i + 1
-        while j < n and rels[j] == ():
-            j += 1
-        tail_tokens = [t.lower() for t in tokens[i + 1:j]]
-        while tail_tokens and tail_tokens[0] in _ARTICLES:
-            tail_tokens.pop(0)
-        if tail_tokens:
-            trip = ParsedTriplet(rels[i], "_".join(tail_tokens))
-            if (trip.relations, trip.tail) not in seen:
-                seen.add((trip.relations, trip.tail))
-                out.append(trip)
-        i = j
-    return out
+def piecewise_parse(text, relations):
+    """The triplets of the text's '.'-pieces in order, first occurrence kept."""
+    return list(dict.fromkeys(t for piece in text.split(".")
+                              for t in parse_triplets(piece, relations)))
 
 
 PIECE_WORDS = KEYWORD_POOL + ["it", "the", "a", "An", "fruit", "red_fruit", "x_y", "_", "__",
@@ -323,10 +304,10 @@ def piece_texts(draw):
 @given(st.lists(st.sampled_from(KEYWORD_POOL), min_size=1, max_size=6, unique=True),
        st.lists(piece_texts(), max_size=12), st.lists(st.sampled_from(KEYWORD_POOL), max_size=3))
 def test_piecewise_parse_matches_whole_text(names, texts, later):
-    texts = texts + texts[:3]  # repeated texts share every piece of the memo
+    texts = texts + texts[:3]  # repeated texts meet a keyword memo that has seen their tokens
     grown = list(dict.fromkeys(names + later))  # the same texts against more relations
     for table in NameTable.from_names(names), NameTable.from_names(grown):
-        assert [parse_triplets(t, table) for t in texts] == [whole_text_parse(t, table)
+        assert [parse_triplets(t, table) for t in texts] == [piecewise_parse(t, table)
                                                              for t in texts]
 
 
@@ -335,13 +316,34 @@ def test_piecewise_parse_matches_whole_text(names, texts, later):
        st.lists(piece_texts(), max_size=12))
 @example(["IsA"], ["it IsA fruit", "IsA fruit IsA fruit", "it IsA fruit. IsA fruit"])
 def test_piece_memo_outlives_a_call(names, texts):
-    # the memo lives on the table, so what earlier texts left in it must not show
+    # the keyword memo lives on the table, so what earlier texts left in it must not show
     fresh = [parse_triplets(t, NameTable.from_names(names)) for t in texts]
     shared = NameTable.from_names(names)
     forward = [parse_triplets(t, shared) for t in texts]
     for got in forward:
-        got.clear()  # a caller's list is its own, not the memo's
+        got.clear()  # a caller's list is its own
     assert [parse_triplets(t, shared) for t in reversed(texts)][::-1] == fresh
+
+
+CAPTION_PARTS = ["isa", "atlocation", "red", "IsA", "x", "_", "7", "-", "'", " ", ".", ",",
+                 "\u00e9", "\u00c9", "\u212a", "\u0130", "\u03a3", "A\u03a3"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(CAPTION_PARTS), min_size=1, max_size=8).map("".join))
+@example("isa-red")
+@example("isa-atlocation")
+def test_caption_mention_is_one_token_with_the_same_encoder_tokens(raw):
+    name = normalize_name(raw)
+    assume(re.search(r"[^A-Za-z0-9_]", name))  # names that hold non-word characters
+    mention = caption_mention(name)
+    assert re.fullmatch(r"[A-Za-z0-9_]+", mention)
+    caption, plain = (BASELINE_TEMPLATE.format(mention=m) for m in (mention, name))
+    # a one-token mention at the caption's end opens no capture, even as a keyword pair
+    for relations in ["IsA", "AtLocation"], ["IsA", "AtLocation", "Red"]:
+        assert parse_triplets(caption, NameTable.from_names(relations)) == []
+    enc = HashingEncoder(64)
+    assert enc.buckets([caption]) == enc.buckets([plain])
 
 
 def test_parse_dedups_across_pieces():
