@@ -5,7 +5,7 @@ is immutable afterwards. Both sources feed one column-wise ingestion core, so
 loading makes no Python object per fact, nor one per name: the names stay in
 the array interning produced, and a name is looked up through a sorted array
 of 64-bit keys built from the same bytes. A head's facts are one slice of an
-edge array, and the heads of a (relation, tail) pair are found by binary search.
+edge array, and a (relation, tail) pair's heads are bisected from the tail's slice.
 """
 
 from __future__ import annotations
@@ -182,34 +182,33 @@ class NameTable:
 
 
 class KnowledgeGraph:
-    """Immutable fact collection with by-head and by-(relation, tail) indexes."""
+    """Immutable fact collection indexed by head, and by tail from the first heads_for call on."""
 
     def __init__(self, entities: NameTable, relations: NameTable,
                  starts: np.ndarray, edges: np.ndarray, stats: LoadStats):
         # edges: relation * n_entities + tail of each distinct fact, by (head, relation,
         # tail); head h's facts are edges[starts[h]:starts[h + 1]]
-        self.entities = entities
-        self.relations = relations
+        self.entities, self.relations = entities, relations
         self._starts = memoryview(starts)  # indexing it yields plain ints
         self._edges = edges
         self._ne = len(entities)
         self.stats = stats
 
     @cached_property
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(relation * n_entities + tail, head) of every fact, by pair then head.
-
-        Built on the first heads_for call, so a load that never asks pays nothing.
-        """
-        # facts are distinct, so sorting the packed (pair, head) key orders them
-        # exactly as a lexsort by pair then head would
-        ne, id_type = self._ne, _offset_dtype(self._ne)
-        by_pair = self._edges * ne
-        by_pair += np.repeat(np.arange(ne, dtype=id_type), np.diff(self._starts))
-        by_pair.sort()
-        heads = np.remainder(by_pair, ne, out=np.empty(len(by_pair), id_type))
-        by_pair //= ne  # in place: the index never holds three such arrays at once
-        return by_pair, heads
+    def _tail_index(self) -> tuple[memoryview, memoryview]:
+        """Per-tail offsets, and relation * n_entities + head of each fact, sorted within its tail."""
+        ne, edges, span = self._ne, self._edges, len(self.relations) * self._ne
+        heads = np.repeat(np.arange(ne, dtype=_offset_dtype(span)), np.diff(self._starts))
+        packed = np.remainder(edges, ne)  # each fact's tail for now, made once heads' temporaries are gone
+        counts = np.bincount(packed, minlength=ne)
+        starts = np.zeros(ne + 1, _offset_dtype(len(edges)))
+        starts[1:] = counts.cumsum(out=counts)  # summed in place: into int32 it would copy counts
+        packed *= span - 1  # in place, to tail * span + relation * ne + head
+        packed += edges
+        packed += heads
+        packed.sort()
+        keys = np.remainder(packed, span, out=heads)
+        return memoryview(starts), memoryview(keys)  # int32 below 2**31; bisect reads plain ints
 
     @classmethod
     def from_facts(cls, triples) -> "KnowledgeGraph":
@@ -256,10 +255,11 @@ class KnowledgeGraph:
         """Every head h with (h, relation, tail) in the graph; empty when unknown."""
         if not (0 <= relation < len(self.relations) and 0 <= tail < self._ne):
             return set()
-        keys, heads = self._pairs
-        key = relation * self._ne + tail
-        lo, hi = keys.searchsorted((key, key + 1)).tolist()
-        return set(heads[lo:hi].tolist())
+        starts, keys = self._tail_index
+        base = relation * self._ne  # two bisections of the tail's slice: O(log in-degree)
+        lo = bisect_left(keys, base, starts[tail], starts[tail + 1])
+        hi = bisect_left(keys, base + self._ne, lo, starts[tail + 1])
+        return {key - base for key in keys[lo:hi]}
 
     def two_hop_facts(self, head: int, limit: int = 1000) -> list[tuple[tuple[int, int], int]]:
         """Relation chains head -> mid -> tail with tail outside {head, mid}.

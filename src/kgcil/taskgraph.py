@@ -9,6 +9,8 @@ two-hop chains serve as fallback.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -79,12 +81,44 @@ class TaskSubgraph:
         return [self.graph.entities.name(c) for c in self.assignments]
 
 
+@contextmanager
+def _collector_paused():
+    """Python's cyclic collector off for the block, then back as it was.
+
+    Registry writes build only acyclic containers, so a collection during
+    them frees nothing, yet each full one walks every tracked object, most
+    of them the registries' paths. A collector already off stays off.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _shared(table, rels: tuple[int, ...]) -> tuple[int, ...]:
+    """rels: as a memo of the relation table, the first tuple of each relation sequence."""
+    return rels
+
+
+def _resolved(table, label: str) -> tuple[int, ...] | None:
+    """The shared tuple of the relations a label names; None when it names none."""
+    rels = table.resolve(label)
+    return None if rels is None else table.memo(_shared)[rels]
+
+
 def _candidates(graph: KnowledgeGraph, cid: int):
-    """(relations, tail, is_chain) of the direct facts, then of the two-hop chains."""
+    """(relations, tail, is_chain) of the direct facts, then of the two-hop chains.
+
+    Equal relation sequences are one tuple object, the one _shared keeps.
+    """
+    shared = graph.relations.memo(_shared)
     for fact in graph.facts_of(cid):
-        yield (fact.relation,), fact.tail, False
+        yield shared[(fact.relation,)], fact.tail, False
     for rels, tail in graph.two_hop_facts(cid):
-        yield rels, tail, True
+        yield shared[rels], tail, True
 
 
 def _reads_back(graph: KnowledgeGraph):
@@ -100,35 +134,43 @@ def _reads_back(graph: KnowledgeGraph):
     return lambda rels, tail: labels[rels] and tails[entity_name(tail)]
 
 
+@_collector_paused()
 def extend_subgraph(subgraph: TaskSubgraph, new_classes, graph: KnowledgeGraph,
                     r_target: int) -> tuple[TaskSubgraph, AllocationReport]:
     """Grant up to r_target unused pairs to each new class, in place.
 
     Unknown class names are collected in the report rather than raised; they
-    end up in both the unknown and shortfall lists. Classes whose direct facts
-    are exhausted fall back to two-hop chains; whatever is still missing after
-    that is recorded as shortfall. A path is granted only when its clause
-    reads back to it (_reads_back). A class whose name holds a keyword token
-    is granted nothing, since its name leads every clause (see
-    name_opens_no_capture); it is shortfall.
+    end up in both the unknown and shortfall lists. A name already assigned,
+    or repeated in new_classes, raises ValueError before anything is granted.
+    Classes whose direct facts are exhausted fall back to two-hop chains;
+    whatever is still missing after that is recorded as shortfall. A path is
+    granted only when its clause reads back to it (_reads_back). A class
+    whose name holds a keyword token is granted nothing, since its name
+    leads every clause (see name_opens_no_capture); it is shortfall. The
+    cyclic collector is paused for the call, for the whole process
+    (_collector_paused).
     """
     if r_target < 1:
         raise ValueError(f"r_target must be >= 1, got {r_target}")
     if subgraph.graph is not graph:
         raise ValueError("subgraph belongs to a different graph")
+    names = [normalize_name(raw) for raw in new_classes]
+    cids = [graph.entities.get(name) for name in names]
+    batch: set[int] = set()
+    for name, cid in zip(names, cids):
+        if cid in subgraph.assignments or cid in batch:
+            raise ValueError(f"class already assigned: {name!r}")
+        if cid is not None:
+            batch.add(cid)
     reads_back = _reads_back(graph)
     task_index = subgraph.tasks
     report = AllocationReport()
-    for raw in new_classes:
-        name = normalize_name(raw)
-        cid = graph.entities.get(name)
+    for name, cid in zip(names, cids):
         if cid is None:
             report.grants.append(ClassGrant(name, r_target, 0, False, unknown=True))
             report.unknown.append(name)
             report.shortfall.append(name)
             continue
-        if cid in subgraph.assignments:
-            raise ValueError(f"class already assigned: {name!r}")
         paths: list[RelationPath] = []
         fallback = False
         if name_opens_no_capture(graph.relations, name):
@@ -177,16 +219,21 @@ def export_subgraph(subgraph: TaskSubgraph, path) -> ExportStats:
     return ExportStats(classes=len(subgraph.assignments), paths=n_paths, bytes=len(payload))
 
 
+@_collector_paused()
 def import_subgraph(path, graph: KnowledgeGraph) -> TaskSubgraph:
     """Rebuild a TaskSubgraph from an exported TSV file.
 
     A row that repeats a (class, pair) the class already holds is skipped. A
     row that allocation would not grant is rejected: its clause does not
     read back to it (_reads_back), or its class name holds a keyword, which
-    is checked on the class's first row.
+    is checked on the class's first row. Each distinct relation label is
+    resolved once, to the tuple allocation shares (_resolved). The cyclic
+    collector is paused for the call, for the whole process
+    (_collector_paused).
     """
     sub = TaskSubgraph(graph)
     reads_back = _reads_back(graph)
+    relations_of = graph.relations.memo(_resolved)
     max_task = -1
     with open(path, encoding="utf-8-sig") as fh:  # -sig drops a leading BOM
         for line_no, raw in enumerate(fh, 1):
@@ -206,7 +253,7 @@ def import_subgraph(path, graph: KnowledgeGraph) -> TaskSubgraph:
                 raise UnknownClass(cname)
             if cid not in sub.assignments and not name_opens_no_capture(graph.relations, name):
                 raise ValueError(f"subgraph line {line_no}: class name {cname!r} holds a keyword")
-            rels = graph.relations.resolve(rel_s)
+            rels = relations_of[rel_s]
             if rels is None:
                 raise ValueError(f"subgraph line {line_no}: unknown relation {rel_s!r}")
             tail = graph.entities.get(normalize_name(tail_s))

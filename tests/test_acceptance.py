@@ -13,6 +13,7 @@ import json
 import math
 import string
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -357,6 +358,21 @@ def test_criterion_8_performance(big_graph):
     record(8, "large-graph performance", ok,
            f"stats exact, heads_for {lookup_rate:,.0f}/s (floor 1e5), "
            f"vote {vote_ms:.3f}ms (cap 5ms), export {export_mb:.3f}MB (cap 0.5MB)")
+
+
+def test_tail_index_memory_on_the_large_graph(big_graph):
+    """The index behind heads_for stays below the old pair index's 12 bytes per
+    fact (16.6 MB here), and building it holds at most 2.5x the edge array."""
+    g = big_graph
+    vars(g).pop("_tail_index", None)  # criterion 8's lookups may have built it
+    tracemalloc.start()
+    try:
+        starts, keys = g._tail_index
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert starts.nbytes + keys.nbytes <= 12 * g.n_facts
+    assert peak <= 2.5 * g._edges.nbytes
 
 
 def test_criterion_9_simulation_disclosure(tmp_path, capsys):

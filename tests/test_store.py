@@ -146,16 +146,42 @@ class TestQueries:
 
     def test_pair_index_built_on_first_lookup(self, tmp_path):
         g = load_graph(write_tsv(tmp_path / "fruit.tsv", FRUIT_FACTS))
-        assert "_pairs" not in vars(g)
+        assert "_tail_index" not in vars(g)
         assert names_of(g, g.heads_for(g.relation_id("IsA"), g.entity_id("fruit"))) == {
             "granny_smith", "pineapple"}
-        assert "_pairs" in vars(g)
+        starts, keys = vars(g)["_tail_index"]
+        assert np.asarray(starts).dtype == np.asarray(keys).dtype == np.int32
+        assert graph_state(g)[-2:] == ref_load(tmp_path / "fruit.tsv")[-2:]
 
     def test_pair_index_roundtrip(self, fruit_graph):
         g = fruit_graph
         for head in range(len(g.entities)):
             for f in g.facts_of(head):
                 assert head in g.heads_for(f.relation, f.tail)
+
+    def test_heads_for_matches_a_scan_on_hub_tails(self):
+        # two hub tails take most facts, under every relation; the rest are scattered
+        rng = np.random.default_rng(4)
+        n_ent, n_rel = 300, 6
+        tails = np.where(rng.random(3000) < 0.7, rng.integers(0, 2, 3000), rng.integers(0, n_ent, 3000))
+        g = KnowledgeGraph.from_facts(
+            (f"e{h}", f"R{r}", f"e{t}")
+            for h, r, t in zip(rng.integers(0, n_ent, 3000).tolist(), rng.integers(0, n_rel, 3000).tolist(),
+                               tails.tolist()))
+        ne, nr = len(g.entities), len(g.relations)
+        scan: dict[tuple[int, int], set[int]] = {}
+        for head in range(ne):
+            for f in g.facts_of(head):
+                scan.setdefault((f.relation, f.tail), set()).add(head)
+        for (rel, tail), heads in scan.items():
+            assert g.heads_for(rel, tail) == heads
+        hubs = [g.entity_id("e0"), g.entity_id("e1")]
+        assert all(len(scan.get((rel, hub), ())) > 100 for hub in hubs for rel in range(nr))
+        # pairs with no heads: every (relation, tail) the scan never saw, hubs included
+        empty = [(rel, tail) for rel in range(nr) for tail in range(ne) if (rel, tail) not in scan]
+        assert empty and all(g.heads_for(rel, tail) == set() for rel, tail in empty)
+        for rel, tail in [(-1, hubs[0]), (nr, hubs[0]), (0, -1), (0, ne), (-1, -1), (nr, ne), (2 ** 40, 0)]:
+            assert g.heads_for(rel, tail) == set()
 
 
 @st.composite
@@ -248,11 +274,13 @@ def ref_load(path):
     h, r, t = (np.asarray(x, dtype=np.int64) for x in (hs, rs, ts))
     _, first = np.unique((h * nr + r) * ne + t, return_index=True)
     h, r, t = h[first], r[first], t[first]
-    pair_key = r * ne + t
-    order = np.lexsort((h, pair_key))
+    # the index behind heads_for: per-tail offsets, and relation * ne + head sorted within each tail
+    tail_starts = np.concatenate(([0], np.cumsum(np.bincount(t, minlength=ne))))
+    tail_keys = r * ne + h
+    tail_keys = tail_keys[np.lexsort((tail_keys, t))]
     stats = LoadStats(ne, nr, len(first), len(hs) - len(first), loops)
     return (stats, list(entities), list(relations),
-            *(a.tolist() for a in (h, r, t, pair_key[order], h[order])))
+            *(a.tolist() for a in (h, r, t, tail_starts, tail_keys)))
 
 
 def assert_reads_back(table):
@@ -269,16 +297,16 @@ def assert_reads_back(table):
 def graph_state(g):
     """The graph as ref_load returns it: heads, relations and tails are decoded from the offsets."""
     starts, edges = np.asarray(g._starts), g._edges
-    pair_keys, pair_heads = g._pairs
-    assert starts.dtype == edges.dtype == pair_keys.dtype == np.int64
-    assert pair_heads.dtype == np.int32  # entity ids below 2**31
+    tail_starts, tail_keys = (np.asarray(a) for a in g._tail_index)
+    assert starts.dtype == edges.dtype == np.int64
+    assert tail_starts.dtype == tail_keys.dtype == np.int32  # offsets and keys below 2**31
     assert starts[0] == 0 and starts[-1] == len(edges) and (np.diff(starts) >= 0).all()
     heads = np.repeat(np.arange(len(g.entities)), np.diff(starts))
     rels, tails = np.divmod(edges, len(g.entities))
     assert_reads_back(g.entities)
     assert_reads_back(g.relations)
     return (g.stats, g.entities.names(), g.relations.names(),
-            *(a.tolist() for a in (heads, rels, tails, *g._pairs)))
+            *(a.tolist() for a in (heads, rels, tails, tail_starts, tail_keys)))
 
 
 def outcome(load, path):

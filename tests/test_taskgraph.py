@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from kgcil import (
     render_training_text,
     vote_head,
 )
+from kgcil import taskgraph
 from kgcil.synthetic import class_name, synthetic_graph
 from conftest import FRUIT_FACTS
 
@@ -75,6 +77,22 @@ class TestExtend:
         extend_subgraph(sub, ["pineapple"], fruit_graph, 1)
         with pytest.raises(ValueError, match="already assigned"):
             extend_subgraph(sub, ["pineapple"], fruit_graph, 1)
+
+    @pytest.mark.parametrize("batch,assigned", [
+        ([0, 1, 0], "class_000"),  # repeated within the batch
+        ([1, 3, 2], "class_002"),  # assigned by an earlier extend
+    ], ids=["repeated", "earlier"])
+    def test_refused_extend_grants_nothing(self, batch, assigned):
+        g = synthetic_graph(6, seed=1)
+        sub = TaskSubgraph(g)
+        extend_subgraph(sub, [class_name(2)], g, 2)
+        before = copy.deepcopy((sub.assignments, sub.pair_to_class, sub.tasks))
+        with pytest.raises(ValueError, match=f"class already assigned: '{assigned}'"):
+            extend_subgraph(sub, [class_name(i) for i in batch], g, 2)
+        assert (sub.assignments, sub.pair_to_class, sub.tasks) == before
+        # the next extend files its classes under the next task
+        extend_subgraph(sub, [class_name(0)], g, 2)
+        assert sub.assignments[g.entity_id(class_name(0))].task_index == 1
 
     def test_bad_r_target(self, fruit_graph):
         with pytest.raises(ValueError):
@@ -146,6 +164,60 @@ class TestClassOfPair:
                    parse_triplets("pineapple IsA fruit.", g.relations)[0]]
         for record in records:
             assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+class TestRegistryWrites:
+    """extend_subgraph and import_subgraph pause the cyclic collector and share relation tuples."""
+
+    @pytest.fixture
+    def exported(self, fruit_graph, tmp_path):
+        sub = TaskSubgraph(fruit_graph)
+        extend_subgraph(sub, ["granny_smith"], fruit_graph, 2)
+        export_subgraph(sub, tmp_path / "sub.tsv")
+        (tmp_path / "bad.tsv").write_text("0\tpineapple\tPartOf\tfruit\n", encoding="utf-8")
+        return tmp_path
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("call", ["extend", "extend-assigned", "import", "import-unknown-relation"])
+    def test_collector_left_as_found(self, fruit_graph, exported, monkeypatch, enabled, call):
+        g = fruit_graph
+        run, error = {
+            "extend": (lambda: extend_subgraph(TaskSubgraph(g), ["pineapple"], g, 1), None),
+            "extend-assigned": (lambda: extend_subgraph(TaskSubgraph(g), ["pineapple"] * 2, g, 1),
+                                "class already assigned"),
+            "import": (lambda: import_subgraph(exported / "sub.tsv", g), None),
+            "import-unknown-relation": (lambda: import_subgraph(exported / "bad.tsv", g),
+                                        "unknown relation"),
+        }[call]
+        during = []  # the collector's state while the call normalizes its names
+        normalize = taskgraph.normalize_name
+        monkeypatch.setattr(taskgraph, "normalize_name",
+                            lambda raw: during.append(gc.isenabled()) or normalize(raw))
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if error:
+                with pytest.raises(ValueError, match=error):
+                    run()
+            else:
+                run()
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert during and not any(during)
+
+    def test_equal_relation_sequences_share_one_tuple(self, tmp_path):
+        g = synthetic_graph(40, n_relations=4, contention=0.6, with_chains=True, seed=5)
+        sub = TaskSubgraph(g)
+        for k in range(4):
+            extend_subgraph(sub, [class_name(i) for i in range(k, 40, 4)], g, 4)
+        export_subgraph(sub, tmp_path / "sub.tsv")
+        imported = import_subgraph(tmp_path / "sub.tsv", g)
+        paths = list(sub.pair_to_class) + list(imported.pair_to_class)
+        assert {len(p.relations) for p in paths} == {1, 2}
+        shared = {}
+        for p in paths:
+            assert shared.setdefault(p.relations, p.relations) is p.relations
+        assert len(shared) < len(sub.pair_to_class)
 
 
 class TestExport:
