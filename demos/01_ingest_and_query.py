@@ -9,7 +9,6 @@ import json
 import tempfile
 
 from kgcil import (
-    Candidates,
     HashingEncoder,
     KnowledgeGraph,
     TaskSubgraph,
@@ -66,9 +65,7 @@ def main():
     sub = TaskSubgraph(graph)
     extend_subgraph(sub, ["granny_smith", "pineapple"], graph, 2)
     text = "a tropical thing, it AtLocation store, it AtLocation pizza."
-    encoder = HashingEncoder(256)
-    names = sub.class_names()
-    pred = infer(text, sub, Candidates(names, encoder.encode_batch(names)), encoder)
+    pred = infer(text, sub, HashingEncoder(256))  # ranked against the subgraph's classes
     print("\nquery:", text)
     print(json.dumps(prediction_record(text, pred, graph.relations), indent=2))
 

@@ -23,7 +23,7 @@ from .harness import (
     run_experiment,
     run_paired_comparison,
 )
-from .inference import Candidates, EmptyCandidates, infer, prediction_record
+from .inference import EmptyCandidates, infer, prediction_record
 from .simulate import GeneratorConfig
 from .store import EmptyGraph, MalformedLine, load_graph
 from .taskgraph import TaskSubgraph, UnknownClass, export_subgraph, extend_subgraph, import_subgraph
@@ -154,14 +154,11 @@ def cmd_run(args) -> int:
 def cmd_query(args) -> int:
     graph = load_graph(args.graph)
     sub = import_subgraph(args.subgraph, graph)
-    encoder = HashingEncoder(dimension=args.encoder_dim)
-    names = sub.class_names()
     try:
-        candidates = Candidates(names, encoder.encode_batch(names))
+        pred = infer(args.text, sub, HashingEncoder(dimension=args.encoder_dim))
     except EmptyCandidates:
         log.error("subgraph %s holds no classes", args.subgraph)
         return EXIT_INPUT
-    pred = infer(args.text, sub, candidates, encoder)
     print(json.dumps(prediction_record(args.text, pred, graph.relations)))
     return EXIT_OK
 

@@ -10,7 +10,7 @@ import functools
 import json
 import os
 
-from .harness import CLASS_TEXT_MODES
+from .inference import CLASS_TEXT_MODES
 from .simulate import MODES
 
 _PROB = {"type": "number", "minimum": 0.0, "maximum": 1.0}

@@ -18,11 +18,10 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .encoders import HashingEncoder
-from .inference import Candidates, PieceTable, infer_batch, prediction_record
+from .inference import CLASS_TEXT_MODES, PieceTable, infer_batch, prediction_record
 from .simulate import GeneratorConfig, TextGenerator, baseline_config
 from .store import KnowledgeGraph, Record, normalize_name
 from .taskgraph import TaskSubgraph, UnknownClass, extend_subgraph, render_export
-from .triplet_text import render_training_text
 
 SIMULATION_CAVEAT = (
     "Accuracies in this report come from a simulated description generator, "
@@ -30,8 +29,6 @@ SIMULATION_CAVEAT = (
     "(for example 84.29% Last on ImageNet-R) are out of scope here and are "
     "not reproduced."
 )
-
-CLASS_TEXT_MODES = ("name", "name_plus_triplets")
 
 
 @dataclass
@@ -243,13 +240,9 @@ class Session:
     def build(cls, subgraph: TaskSubgraph, config: GeneratorConfig, encoder,
               class_text_mode: str, index: int, samples: int, order_seed: int | None,
               diagnostics: bool) -> "Session":
-        """The session's candidates are the subgraph's classes, each encoded as its class text."""
-        names = texts = subgraph.class_names()
-        if class_text_mode == "name_plus_triplets":
-            texts = [render_training_text(a, subgraph.graph) if a.paths else name
-                     for a, name in zip(subgraph.assignments.values(), names)]
+        """The session's candidates are the subgraph's classes, built by its piece table."""
         return cls(subgraph, TextGenerator(subgraph.graph, subgraph, config),
-                   PieceTable(subgraph, Candidates(names, encoder.encode_batch(texts)), encoder),
+                   PieceTable(subgraph, encoder, class_text_mode),
                    index, samples, order_seed, diagnostics)
 
     def evaluate(self, cname: str) -> dict:

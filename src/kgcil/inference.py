@@ -3,13 +3,13 @@
 The pipeline mirrors how a relational description is turned into a label:
 parsed triplets vote through the exclusive pair registry, the winning class
 name is prepended to the raw text, and the augmented text is ranked by cosine
-similarity against a session's Candidates: the class names seen so far and
-their token counts, built once per session.
+similarity against a session's Candidates: the registry's classes and the token
+counts of their class texts, built once per session by its PieceTable.
 
-infer_batch runs it for a batch of texts from a session's PieceTable. Ranking
-is exact arithmetic on token counts, so a text ranks the same from its pieces as
-alone. The set keeps its names sorted, so a ranking is one stable sort by
-descending key: ties go to the smallest name.
+infer_batch runs it for a batch of texts from that table, so a voted head is
+always a candidate. Ranking is exact arithmetic on token counts, so a text ranks
+the same from its pieces as alone. The set keeps its names sorted, so a ranking
+is one stable sort by descending key: ties go to the smallest name.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from itertools import zip_longest
 import numpy as np
 
 from .taskgraph import TaskSubgraph
-from .triplet_text import ParsedTriplet, parse_triplets
+from .triplet_text import ParsedTriplet, parse_triplets, render_training_text
 
 TOP_K = 3  # similarity scores a Prediction keeps
+CLASS_TEXT_MODES = ("name", "name_plus_triplets")  # what a class is encoded by
 
 
 class EmptyCandidates(ValueError):
@@ -207,24 +208,31 @@ class PieceTable:
 
     The one code that cuts text at '.', which ends every capture and token: a text's
     triplets are its pieces' and the tokens of "<head> <raw>" the head's plus the
-    pieces'. A row holds a piece's triplets, the matched ones also as keys tid *
-    len(heads) + their class's place in heads, its token buckets and its scores (dot
-    products with the candidates, then token count). A head name is a row, not parsed;
-    row 0 is the zero row a batch pads with. A grown pair registry voids the table.
+    pieces'. The candidates are the registry's classes, encoded by name or, in
+    "name_plus_triplets" mode, by training text (a class with no paths by name). A row
+    holds a piece's triplets, the matched ones also as keys tid * len(names) + their
+    column, its token buckets and its scores (dot products with the candidates, then
+    token count). A head name is a row, not parsed; row 0 is the zero row a batch pads
+    with. A grown pair registry voids the table.
     """
 
-    def __init__(self, subgraph: TaskSubgraph, candidates: Candidates, encoder):
-        self.subgraph, self.candidates, self.encoder = subgraph, candidates, encoder
+    def __init__(self, subgraph: TaskSubgraph, encoder, class_text_mode: str = "name"):
+        if class_text_mode not in CLASS_TEXT_MODES:
+            raise ValueError(f"class_text_mode must be one of {CLASS_TEXT_MODES}")
+        graph, names = subgraph.graph, subgraph.class_names()
+        texts = names if class_text_mode == "name" else [
+            render_training_text(a, graph) if a.paths else name
+            for a, name in zip(subgraph.assignments.values(), names)]
+        self.subgraph, self.encoder = subgraph, encoder
+        self.candidates = Candidates(names, encoder.encode_batch(texts))
         self.pairs = len(subgraph.pair_to_class)
-        owners = sorted(subgraph.assignments, key=subgraph.graph.entities.name)
-        self.heads = list(map(subgraph.graph.entities.name, owners))  # first maximum: smallest name
-        self._column = {cid: j for j, cid in enumerate(owners)}
+        self._column = {graph.entities.get(name): j for j, name in enumerate(self.candidates.names)}
         self._rows, self._keys = {}, {}  # piece -> row, matched ParsedTriplet -> key
         self._pieces: list[str | None] = [None]  # row -> its piece
         self._triplets: list[list[ParsedTriplet]] = [[]]  # row -> its parsed triplets
         self._matched: list[tuple[int, ...]] = [()]  # row -> keys of its matched triplets
         self._buckets: list[list[int]] = [[]]  # row -> its tokens' buckets
-        self._scores = np.zeros((1, len(candidates.names) + 1))
+        self._scores = np.zeros((1, len(names) + 1))
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -236,7 +244,7 @@ class PieceTable:
         for trip in triplets:  # matched as in vote_head
             cid = owner((trip.relations, graph.entities.get(trip.tail)))
             if cid is not None:
-                key = len(self._keys) * len(self.heads) + self._column[cid]
+                key = len(self._keys) * len(self._column) + self._column[cid]
                 found += (self._keys.setdefault(trip, key),)
         self._triplets.append(triplets)
         self._matched.append(found)
@@ -245,7 +253,7 @@ class PieceTable:
 
     def vote(self, texts) -> list[list[int]]:
         """Each text's piece rows, then its head's row (VoteTally.best's pick) if it has a head."""
-        get, add, matched, width = self._rows.get, self._add, self._matched, len(self.heads)
+        get, add, matched, width = self._rows.get, self._add, self._matched, len(self._column)
         rows = [[get(p) or add(p) for p in text.split(".")] for text in texts]
         keys = [{k for r in pieces for k in matched[r]} for pieces in rows]
         cells = [i * width + k % width for i, found in enumerate(keys) for k in found]
@@ -253,7 +261,7 @@ class PieceTable:
             votes = np.bincount(cells, minlength=len(rows) * width).reshape(len(rows), width)
             best = votes.argmax(axis=1)
             for i in np.flatnonzero(votes.max(axis=1)).tolist():
-                head = self.heads[best[i]]
+                head = self.candidates.names[best[i]]
                 rows[i].append(get(head) or add(head, []))
         return rows
 
@@ -310,9 +318,9 @@ def infer_batch(texts, table: PieceTable) -> BatchInference:
                           (t1 - t0) * 1000.0, (time.perf_counter() - t1) * 1000.0)
 
 
-def infer(raw_text: str, subgraph: TaskSubgraph, candidates: Candidates, encoder) -> Prediction:
+def infer(raw_text: str, subgraph: TaskSubgraph, encoder) -> Prediction:
     """infer_batch on one text, from a table of its own, with the tally kept for diagnostics."""
-    return infer_batch([raw_text], PieceTable(subgraph, candidates, encoder)).predictions()[0]
+    return infer_batch([raw_text], PieceTable(subgraph, encoder)).predictions()[0]
 
 
 def prediction_record(raw_text: str, pred: Prediction, relations) -> dict:

@@ -22,13 +22,13 @@ import tempfile
 from pathlib import Path
 
 from kgcil import (
-    Candidates,
     GeneratorConfig,
     HashingEncoder,
+    PieceTable,
     TaskSchedule,
     TaskSubgraph,
     extend_subgraph,
-    infer,
+    infer_batch,
     prediction_record,
     run_experiment,
 )
@@ -92,12 +92,10 @@ def query_records(g=None) -> list[dict]:
     g = g or graph()
     sub = TaskSubgraph(g)
     extend_subgraph(sub, [class_name(i) for i in range(N_CLASSES)], g, 3)
-    enc = HashingEncoder(64)
-    names = sub.class_names()
-    candidates = Candidates(names, enc.encode_batch(names))
+    table = PieceTable(sub, HashingEncoder(64))  # one table, as `kgcil run` keeps per session
     out = []
     for text in QUERY_TEXTS:
-        pred = infer(text, sub, candidates, enc)
+        pred = infer_batch([text], table).predictions()[0]
         out.append(_roundtrip(prediction_record(text, pred, g.relations)))
     return out
 

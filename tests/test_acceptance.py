@@ -20,11 +20,11 @@ import numpy as np
 import pytest
 
 from kgcil import (
-    Candidates,
     GeneratorConfig,
     HashingEncoder,
     KnowledgeGraph,
     ParsedTriplet,
+    PieceTable,
     TaskSchedule,
     TaskSubgraph,
     TextGenerator,
@@ -32,7 +32,7 @@ from kgcil import (
     compute_hacc,
     compute_pd,
     extend_subgraph,
-    infer,
+    infer_batch,
     load_graph,
     parse_triplets,
     render_export,
@@ -148,16 +148,14 @@ def test_criterion_3_drop_only_law():
     extend_subgraph(sub, [class_name(i) for i in range(100)], g, 3)
     assert all(len(a.paths) == 3 for a in sub.assignments.values()), "law needs r=3 everywhere"
     candidates = sub.class_names()
-    enc = HashingEncoder(256)
-    candidate_set = Candidates(candidates, enc.encode_batch(candidates))
+    table = PieceTable(sub, HashingEncoder(256))  # one per subgraph, as `kgcil run` keeps
     gen = TextGenerator(g, sub, GeneratorConfig(p_drop=p, seed=33, filler=False))
     n = 10_000
     correct = 0
     for s in range(n):
         name = candidates[s % len(candidates)]
         text = gen.generate(g.entity_id(name), (0, s))
-        pred = infer(text, sub, candidate_set, enc)
-        correct += pred.final_class == name
+        correct += infer_batch([text], table).final_class(0) == name
     acc = correct / n
     sigma = math.sqrt(analytic * (1 - analytic) / n)
     dt = time.perf_counter() - t0

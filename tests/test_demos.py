@@ -1,4 +1,4 @@
-"""Every demo script runs to completion as a user would start it."""
+"""Every demo script, and the README quick start, runs to completion as a user would start it."""
 
 from __future__ import annotations
 
@@ -24,3 +24,13 @@ def test_demo_exits_zero(demo):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout
+
+
+def test_readme_quick_start_prints_pineapple():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", block], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["pineapple"]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -14,11 +15,14 @@ from kgcil import (
     Candidates,
     EmptyCandidates,
     HashingEncoder,
+    KnowledgeGraph,
     ParsedTriplet,
     PieceTable,
+    TaskSchedule,
     TaskSubgraph,
     augment_text,
     classify,
+    export_subgraph,
     extend_subgraph,
     infer,
     infer_batch,
@@ -26,9 +30,11 @@ from kgcil import (
     prediction_record,
     render_clause,
     render_training_text,
+    run_experiment,
     vote_head,
 )
 from kgcil import encoders, inference
+from kgcil.cli import EXIT_OK, main
 from kgcil.harness import Session
 from kgcil.inference import TOP_K, rank_rows
 from kgcil.simulate import GeneratorConfig
@@ -308,7 +314,7 @@ class TestInfer:
         enc = HashingEncoder(256)
         a = fruit_sub.assignments[g.entity_id("pineapple")]
         text = render_training_text(a, g)
-        pred = infer(text, fruit_sub, candidate_set(FRUIT, enc), enc)
+        pred = infer(text, fruit_sub, enc)
         assert pred.graph_head == "pineapple"
         assert pred.final_class == "pineapple"
         assert pred.tally.counts == {"pineapple": 2}
@@ -316,7 +322,7 @@ class TestInfer:
     def test_fallback_equals_plain_classify(self, fruit_graph, fruit_sub):
         enc = HashingEncoder(256)
         raw = "This is a photo of a apple"
-        pred = infer(raw, fruit_sub, candidate_set(FRUIT, enc), enc)
+        pred = infer(raw, fruit_sub, enc)
         plain = classify_names(raw, FRUIT, enc)
         assert pred.graph_head is None
         assert pred.final_class == plain.final_class
@@ -324,24 +330,60 @@ class TestInfer:
 
     def test_batch_rows_equal_single_infer(self, fruit_graph, fruit_sub):
         enc = HashingEncoder(64)
-        cands = candidate_set(FRUIT, enc)
         texts = ["it IsA fruit.", "", "it AtLocation pizza. it AtLocation store.",
                  "This is a photo of a apple", "it IsA fruit. it AtLocation pizza."]
-        batch = infer_batch(texts, PieceTable(fruit_sub, cands, enc))
+        batch = infer_batch(texts, PieceTable(fruit_sub, enc))
         assert batch.vote_ms > 0.0  # the batch's own stage timers
         assert batch.classify_ms > 0.0
         for text, got in zip(texts, batch.predictions()):
-            single = infer(text, fruit_sub, cands, enc)
+            single = infer(text, fruit_sub, enc)
             assert got.final_class == single.final_class
             assert got.similarity_scores == single.similarity_scores
             assert got.tie == single.tie
             assert got.graph_head == single.graph_head
             assert got.tally == single.tally
 
-    def test_batch_empty_candidates(self, fruit_sub):
+    def test_batch_empty_candidates(self, fruit_graph):
+        with pytest.raises(EmptyCandidates):  # a subgraph with no classes: the table's set raises
+            PieceTable(TaskSubgraph(fruit_graph), HashingEncoder(16))
+
+    def test_unknown_class_text_mode_is_refused(self, fruit_sub):
         enc = HashingEncoder(16)
-        with pytest.raises(EmptyCandidates):  # the set's build raises before infer_batch runs
-            infer_batch(["it IsA fruit."], PieceTable(fruit_sub, candidate_set([], enc), enc))
+        with pytest.raises(ValueError, match="class_text_mode"):
+            PieceTable(fruit_sub, enc, "vibes")
+        with pytest.raises(ValueError, match="class_text_mode"):
+            Session.build(fruit_sub, GeneratorConfig(seed=0), enc, "vibes", 0, 1, 0, False)
+
+    def test_zero_path_class_is_encoded_by_its_name(self):
+        # z heads no fact, so it is granted no path: in name_plus_triplets mode it is still
+        # a candidate, with its bare name as its class text
+        g = KnowledgeGraph.from_facts([("a", "IsA", "x"), ("q", "R", "z")])
+        sub = TaskSubgraph(g)
+        extend_subgraph(sub, ["a", "z"], g, 1)
+        assert not sub.assignments[g.entity_id("z")].paths
+        enc = HashingEncoder(64)
+        table = PieceTable(sub, enc, "name_plus_triplets")
+        a_text = render_training_text(sub.assignments[g.entity_id("a")], g)
+        assert table.candidates.names == ("a", "z")
+        assert np.array_equal(table.candidates.vectors, enc.encode_batch([a_text, "z"]))
+        assert infer_batch(["z"], table).final_class(0) == "z"
+
+
+def test_one_candidate_set_per_session_and_query(monkeypatch, fruit_tsv, fruit_sub, tmp_path,
+                                                 capsys):
+    # the piece table builds each session's candidates; no caller builds a set of its own
+    built, real = [], inference.Candidates
+    monkeypatch.setattr(inference, "Candidates", lambda *args: built.append(args[0]) or real(*args))
+    g = synthetic_graph(6, n_relations=4, facts_per_class=3, seed=2)
+    schedule = TaskSchedule.b0([class_name(i) for i in range(6)], 3, samples_per_class=2)
+    report = run_experiment(g, schedule, GeneratorConfig(seed=0), 2, HashingEncoder(32), [0])
+    assert len(report.orders[0].sessions) == len(built) == 3
+    built.clear()
+    export_subgraph(fruit_sub, tmp_path / "sub.tsv")
+    assert main(["query", "--graph", str(fruit_tsv), "--subgraph", str(tmp_path / "sub.tsv"),
+                 "it AtLocation store. it AtLocation pizza."]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["final_class"] == "pineapple"
+    assert built == [FRUIT]
 
 
 def pieces_graph():
@@ -369,25 +411,26 @@ class TestPieceTable:
         # a table batch against vote_head(parse_triplets(t)), then rank_rows / classify of
         # augment_text(t, head): head, final class, tie, exact order and keys bit for bit
         g, sub, matched, unmatched = PIECES
-        enc = HashingEncoder(data.draw(st.sampled_from([16, 64])))
+        enc = HashingEncoder(data.draw(st.sampled_from([1, 16, 64])))
+        mode = data.draw(st.sampled_from(["name", "name_plus_triplets"]))
         clause = st.sampled_from(matched + unmatched + ["a photo of", "the", "IsA", ""])
         piece = st.lists(clause, max_size=3).map(" ".join)  # two clauses: two keywords, one piece
         texts = data.draw(st.lists(st.lists(piece, max_size=5).map(". ".join), max_size=6))
         texts += [f"{matched[0]}. it {matched[0]}. {matched[1]}",  # a triplet repeated
                   f"it {matched[0]} {matched[2]} {unmatched[0]}.",  # keywords sharing a piece
                   "", "no dot at all", ". ".join(matched + unmatched) * 3]
+        # a long piece puts its row past the 2^52 float bound where the class texts are long
+        # and share one bucket: n = 2^19 tokens against max(c2) = 144
+        long = enc.dimension == 1 and mode == "name_plus_triplets" and data.draw(st.booleans())
+        texts += [f"{matched[0]}. " + "x " * 2 ** 19] * long
         texts = data.draw(st.permutations(texts))
-        # candidates: a subset of the registry's classes, so a head may be missing, plus an
-        # outsider; the scale puts rows past the 2^52 float bound
-        names = data.draw(st.lists(st.sampled_from(sub.class_names()), unique=True, min_size=1))
-        names = names + ["zz_outsider"] * data.draw(st.booleans())
-        mode = data.draw(st.sampled_from(["name", "name_plus_triplets"]))
-        class_texts = [render_training_text(sub.assignments[g.entity_id(n)], g)
-                       if mode == "name_plus_triplets" and g.entity_id(n) in sub.assignments
-                       else n for n in names]
-        scale = data.draw(st.sampled_from([1.0, 2.0 ** 9, 2.0 ** 14]))
-        cands = Candidates(names, enc.encode_batch(class_texts) * scale)
-        table = PieceTable(sub, cands, enc)
+        names = sub.class_names()  # the reference's own set, built as the table builds its
+        class_texts = [render_training_text(a, g) if mode == "name_plus_triplets" and a.paths
+                       else n for a, n in zip(sub.assignments.values(), names)]
+        cands = Candidates(names, enc.encode_batch(class_texts))
+        table = PieceTable(sub, enc, mode)
+        assert table.candidates.names == cands.names
+        assert np.array_equal(table.candidates.vectors, cands.vectors)
         cut = data.draw(st.integers(0, len(texts)))  # two batches on one table
         batches = [infer_batch(texts[:cut], table), infer_batch(texts[cut:], table)]
         rows = [(b, i) for b in batches for i in range(len(b.keys))]
@@ -404,7 +447,7 @@ class TestPieceTable:
             want = classify(augmented, names, enc, cands)
             assert (got.final_class, got.tie) == (want.final_class, want.tie)
             assert list(got.similarity_scores.items()) == list(want.similarity_scores.items())
-        if scale == 2.0 ** 14:  # c2 >= 2^28, so every row with a token is past the bound
+        if long:
             assert any(b.exact for b in batches)
 
     def test_one_class_twice_adds_no_rows(self, small_session):
@@ -439,8 +482,8 @@ class TestPieceTable:
         # the parser and the encoder see pieces and head names, never a whole text: not in
         # a batch, not in its predictions, not for a row past the float bound
         g, sub, matched, unmatched = PIECES
-        enc = HashingEncoder(16)
-        cands = Candidates(sub.class_names(), enc.encode_batch(sub.class_names()) * 2.0 ** 14)
+        enc = HashingEncoder(1)  # with the class texts' tokens in one bucket, n = 2^19 passes it
+        table = PieceTable(sub, enc, "name_plus_triplets")  # before the spies: class texts hold dots
         seen, parse, tokens = [], inference.parse_triplets, encoders._TOKEN_RE
         monkeypatch.setattr(inference, "parse_triplets",
                             lambda text, rels: seen.append(text) or parse(text, rels))
@@ -448,8 +491,8 @@ class TestPieceTable:
                             SimpleNamespace(findall=lambda text: seen.append(text)
                                             or tokens.findall(text)))
         texts = [f"it {matched[0]}. it {matched[1]}. it {unmatched[0]}.",
-                 f"{matched[2]}. {matched[2]}", "", "no dot at all", "..."]
-        batch = infer_batch(texts, PieceTable(sub, cands, enc))
+                 f"{matched[2]}. {matched[2]}", "", "no dot at all", "...", "x " * 2 ** 19]
+        batch = infer_batch(texts, table)
         assert batch.exact  # rows past the float bound were ranked
         assert [p.graph_head is not None for p in batch.predictions()][:2] == [True, True]
         assert seen and not [text for text in seen if "." in text]
@@ -459,7 +502,7 @@ class TestPieceTable:
         # classify_ms; a piece seen before costs neither again
         g, sub, matched, _ = PIECES
         enc = HashingEncoder(32)
-        table = PieceTable(sub, candidate_set(sub.class_names(), enc), enc)
+        table = PieceTable(sub, enc)
         slow_parse, slow_buckets = inference.parse_triplets, enc.buckets
 
         def parse_triplets(*args):
@@ -489,11 +532,9 @@ def small_session():
 
 class TestRecord:
     def test_jsonable(self, fruit_graph, fruit_sub):
-        import json
-
         enc = HashingEncoder(256)
         raw = "it IsA fruit. it AtLocation pizza."
-        pred = infer(raw, fruit_sub, candidate_set(FRUIT, enc), enc)
+        pred = infer(raw, fruit_sub, enc)
         rec = prediction_record(raw, pred, fruit_graph.relations)
         doc = json.loads(json.dumps(rec))
         assert doc["raw_text"] == raw
