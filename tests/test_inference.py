@@ -424,7 +424,7 @@ class TestPieceTable:
         long = enc.dimension == 1 and mode == "name_plus_triplets" and data.draw(st.booleans())
         texts += [f"{matched[0]}. " + "x " * 2 ** 19] * long
         texts = data.draw(st.permutations(texts))
-        names = sub.class_names()  # the reference's own set, built as the table builds its
+        names = sub.class_names()  # the reference builds its own set, as the table does
         class_texts = [render_training_text(a, g) if mode == "name_plus_triplets" and a.paths
                        else n for a, n in zip(sub.assignments.values(), names)]
         cands = Candidates(names, enc.encode_batch(class_texts))
