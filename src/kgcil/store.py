@@ -125,8 +125,8 @@ class NameTable:
     def name(self, idx: int) -> str:
         return self._names.item(idx)
 
-    def names(self) -> list[str]:
-        return self._names.tolist()
+    def names(self, ids=None) -> list[str]:  # of the ids given, in their order; all by default
+        return (self._names if ids is None else self._names.take(ids)).tolist()
 
     def lower_index(self) -> dict[str, int]:
         """Case-folded name -> id; the first id wins on case collisions."""
@@ -228,8 +228,8 @@ class KnowledgeGraph:
     def n_facts(self) -> int:
         return len(self._edges)
 
-    def entity_id(self, name: str) -> int | None:
-        return self.entities.get(normalize_name(name))
+    def entity_id(self, name: str) -> int | None:  # names held are normal: only a miss is normalized
+        return i if (i := self.entities.get(name)) is not None else self.entities.get(normalize_name(name))
 
     def relation_id(self, name: str) -> int | None:
         return self.relations.get(normalize_relation(name))

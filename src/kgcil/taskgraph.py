@@ -10,11 +10,12 @@ two-hop chains serve as fallback.
 from __future__ import annotations
 
 import gc
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .store import KnowledgeGraph, Record, normalize_name
+from .store import KnowledgeGraph, NameTable, Record, _Memo, normalize_name
 from .triplet_text import label_reads_back, name_opens_no_capture, tail_reads_back
 
 SUBGRAPH_FORMAT = "kgcil-subgraph v1"
@@ -121,17 +122,25 @@ def _candidates(graph: KnowledgeGraph, cid: int):
         yield shared[rels], tail, True
 
 
+_tail_memos = weakref.WeakKeyDictionary()  # graph -> {tail id: _tail_id_reads_back}
+
+
+def _tail_id_reads_back(graph: KnowledgeGraph, tail: int) -> bool:
+    return tail_reads_back(graph.relations, graph.entities.name(tail))
+
+
 def _reads_back(graph: KnowledgeGraph):
     """(relations, tail id) -> whether the clause '<label> <tail>' parses back to that path alone.
 
     The rule every path of a subgraph keeps, with name_opens_no_capture of
     its class name, so that its text votes for its class. With relations
     Made, Of and Made_Of, the pair (Made, Of) renders as Made_Of and fails,
-    as does a tail `of`. Both checks are memos of the relation table.
+    as does a tail `of`. Each relation sequence and each tail id is checked
+    once: by a memo of the relation table and by one per graph (_tail_memos).
     """
-    labels, tails = graph.relations.memo(label_reads_back), graph.relations.memo(tail_reads_back)
-    entity_name = graph.entities.name
-    return lambda rels, tail: labels[rels] and tails[entity_name(tail)]
+    labels = graph.relations.memo(label_reads_back)
+    tails = _tail_memos.setdefault(graph, _Memo(_tail_id_reads_back, graph))
+    return lambda rels, tail: labels[rels] and tails[tail]
 
 
 @_collector_paused()
@@ -154,8 +163,9 @@ def extend_subgraph(subgraph: TaskSubgraph, new_classes, graph: KnowledgeGraph,
         raise ValueError(f"r_target must be >= 1, got {r_target}")
     if subgraph.graph is not graph:
         raise ValueError("subgraph belongs to a different graph")
-    names = [normalize_name(raw) for raw in new_classes]
-    cids = [graph.entities.get(name) for name in names]
+    raws = list(new_classes)
+    cids = [graph.entity_id(raw) for raw in raws]
+    names = [normalize_name(r) if c is None else graph.entities.name(c) for r, c in zip(raws, cids)]
     batch: set[int] = set()
     for name, cid in zip(names, cids):
         if cid in subgraph.assignments or cid in batch:
@@ -194,12 +204,13 @@ def extend_subgraph(subgraph: TaskSubgraph, new_classes, graph: KnowledgeGraph,
 def render_export(subgraph: TaskSubgraph) -> str:
     """Serialize a subgraph to its TSV form (also used for size accounting)."""
     lines = [f"# {SUBGRAPH_FORMAT}", _EXPORT_HEADER]
-    graph = subgraph.graph
-    for a in subgraph.assignments.values():
-        cname = graph.entities.name(a.class_id)
-        for p in a.paths:
-            rel = graph.relations.label(p.relations)
-            lines.append(f"{a.task_index}\t{cname}\t{rel}\t{graph.entities.name(p.tail)}")
+    graph, assignments = subgraph.graph, subgraph.assignments.values()
+    labels = graph.relations.memo(NameTable.label)
+    tails = iter(graph.entities.names([p.tail for a in assignments for p in a.paths]))
+    for a in assignments:
+        lead = f"{a.task_index}\t{graph.entities.name(a.class_id)}\t"
+        # zip draws from paths first, so it stops at the class's last path with tails unmoved
+        lines.extend(f"{lead}{labels[p.relations]}\t{tail}" for p, tail in zip(a.paths, tails))
     return "\n".join(lines) + "\n"
 
 
@@ -226,15 +237,16 @@ def import_subgraph(path, graph: KnowledgeGraph) -> TaskSubgraph:
     A row that repeats a (class, pair) the class already holds is skipped. A
     row that allocation would not grant is rejected: its clause does not
     read back to it (_reads_back), or its class name holds a keyword, which
-    is checked on the class's first row. Each distinct relation label is
-    resolved once, to the tuple allocation shares (_resolved). The cyclic
-    collector is paused for the call, for the whole process
-    (_collector_paused).
+    is checked on the class's first row. All rows of a class give one task
+    index. Each name resolves once (a class once per run of its rows) by
+    KnowledgeGraph.entity_id, and each relation label to the tuple
+    allocation shares (_resolved). The cyclic collector is paused for the
+    call, for the whole process (_collector_paused).
     """
     sub = TaskSubgraph(graph)
     reads_back = _reads_back(graph)
     relations_of = graph.relations.memo(_resolved)
-    max_task = -1
+    run = None  # the task and class fields of the run of rows being read
     with open(path, encoding="utf-8-sig") as fh:  # -sig drops a leading BOM
         for line_no, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
@@ -244,19 +256,25 @@ def import_subgraph(path, graph: KnowledgeGraph) -> TaskSubgraph:
             if len(parts) != 4:
                 raise ValueError(f"subgraph line {line_no}: expected 4 fields, got {len(parts)}")
             task_s, cname, rel_s, tail_s = parts
-            if not task_s.strip().isdecimal():  # digits only: no sign, so no negative index
-                raise ValueError(f"subgraph line {line_no}: bad task index {task_s!r}")
-            task_index = int(task_s)
-            name = normalize_name(cname)
-            cid = graph.entities.get(name)
-            if cid is None:
-                raise UnknownClass(cname)
-            if cid not in sub.assignments and not name_opens_no_capture(graph.relations, name):
-                raise ValueError(f"subgraph line {line_no}: class name {cname!r} holds a keyword")
+            if run != (task_s, cname):
+                if not task_s.strip().isdecimal():  # digits only: no sign, so no negative index
+                    raise ValueError(f"subgraph line {line_no}: bad task index {task_s!r}")
+                task_index = int(task_s)
+                cid = graph.entity_id(cname)
+                if cid is None:
+                    raise UnknownClass(cname)
+                a = sub.assignments.get(cid)
+                if a is None:  # the class's first row
+                    if not name_opens_no_capture(graph.relations, graph.entities.name(cid)):
+                        raise ValueError(f"subgraph line {line_no}: class name {cname!r} holds a keyword")
+                    a = sub.assignments[cid] = ClassAssignment(cid, [], task_index)
+                elif a.task_index != task_index:
+                    raise ValueError(f"subgraph line {line_no}: class {cname!r} is in task {a.task_index}")
+                run = task_s, cname
             rels = relations_of[rel_s]
             if rels is None:
                 raise ValueError(f"subgraph line {line_no}: unknown relation {rel_s!r}")
-            tail = graph.entities.get(normalize_name(tail_s))
+            tail = graph.entity_id(tail_s)
             if tail is None:
                 raise ValueError(f"subgraph line {line_no}: unknown tail {tail_s!r}")
             if not reads_back(rels, tail):
@@ -267,10 +285,7 @@ def import_subgraph(path, graph: KnowledgeGraph) -> TaskSubgraph:
                 continue  # a repeated row: the class already holds this path
             if owner is not None:
                 raise ValueError(f"subgraph line {line_no}: pair already owned by another class")
-            if cid not in sub.assignments:
-                sub.assignments[cid] = ClassAssignment(cid, [], task_index)
-            sub.assignments[cid].paths.append(path)
+            a.paths.append(path)
             sub.pair_to_class[path] = cid
-            max_task = max(max_task, task_index)
-    sub.tasks = max_task + 1
+    sub.tasks = max((a.task_index for a in sub.assignments.values()), default=-1) + 1
     return sub

@@ -27,6 +27,19 @@ def test_normalize_name():
     assert normalize_name("A\tB\nC") == "a_b_c"
 
 
+raw_names = st.text(st.one_of(st.sampled_from(" \t\n\x1f\u00a0\u2003\u3000AZÉİẞΣ_"), st.characters()),
+                    min_size=1, max_size=10).filter(normalize_name)
+
+
+@given(st.lists(st.tuples(raw_names, raw_names), min_size=1, max_size=8))
+def test_table_names_are_normal(pairs):
+    # entity_id skips normalize_name for a name the table holds; exact because each is a fixed point
+    g = KnowledgeGraph.from_facts([("anchor", "R", "other")] + [(h, "R", t) for h, t in pairs])
+    assert all(normalize_name(name) == name for name in g.entities.names())
+    for raw in [name for pair in pairs for name in pair]:
+        assert g.entity_id(raw) == g.entities.get(normalize_name(raw))
+
+
 class TestLoad:
     def test_fruit_stats(self, fruit_tsv):
         g = load_graph(fruit_tsv)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from kgcil import (
     KnowledgeGraph,
+    NameTable,
     RelationPath,
     TaskSubgraph,
     UnknownClass,
@@ -21,7 +23,7 @@ from kgcil import (
     render_training_text,
     vote_head,
 )
-from kgcil import taskgraph
+from kgcil import store, taskgraph
 from kgcil.synthetic import class_name, synthetic_graph
 from conftest import FRUIT_FACTS
 
@@ -189,10 +191,10 @@ class TestRegistryWrites:
             "import-unknown-relation": (lambda: import_subgraph(exported / "bad.tsv", g),
                                         "unknown relation"),
         }[call]
-        during = []  # the collector's state while the call normalizes its names
-        normalize = taskgraph.normalize_name
-        monkeypatch.setattr(taskgraph, "normalize_name",
-                            lambda raw: during.append(gc.isenabled()) or normalize(raw))
+        during = []  # the collector's state while the call looks its names up
+        get = NameTable.get
+        monkeypatch.setattr(NameTable, "get", lambda table, name: during.append(gc.isenabled())
+                            or get(table, name))
         (gc.enable if enabled else gc.disable)()
         try:
             if error:
@@ -204,6 +206,60 @@ class TestRegistryWrites:
         finally:
             gc.enable()
         assert during and not any(during)
+
+    def test_work_is_once_per_distinct_name(self, tmp_path, monkeypatch):
+        g = synthetic_graph(40, n_relations=4, contention=0.6, with_chains=True, seed=5)
+        calls = {"normalize": [], "label": [], "tail": []}
+
+        def spy(key, fn):
+            return lambda *args: calls[key].append(args[-1]) or fn(*args)
+
+        monkeypatch.setattr(taskgraph, "tail_reads_back", spy("tail", taskgraph.tail_reads_back))
+        sub = TaskSubgraph(g)
+        for k in range(4):
+            extend_subgraph(sub, [class_name(i) for i in range(k, 40, 4)], g, 4)
+        with monkeypatch.context() as m:
+            m.setattr(NameTable, "label", spy("label", NameTable.label))
+            export_subgraph(sub, tmp_path / "sub.tsv")
+        with monkeypatch.context() as m:
+            m.setattr(store, "normalize_name", spy("normalize", store.normalize_name))
+            m.setattr(taskgraph, "normalize_name", spy("normalize", taskgraph.normalize_name))
+            imported = import_subgraph(tmp_path / "sub.tsv", g)
+        assert imported.pair_to_class == sub.pair_to_class
+        assert calls["normalize"] == []
+        sequences = {p.relations for p in sub.pair_to_class}
+        assert len(sequences) < len(sub.pair_to_class)
+        assert sorted(calls["label"]) == sorted(sequences)
+        tails = {g.entity_name(p.tail) for p in sub.pair_to_class}
+        assert len(calls["tail"]) == len(set(calls["tail"])) and tails <= set(calls["tail"])
+
+    def test_a_dropped_graph_leaves_no_tail_memo(self, tmp_path):
+        g = synthetic_graph(10, n_relations=3, seed=2)
+        sub = TaskSubgraph(g)
+        extend_subgraph(sub, [class_name(i) for i in range(10)], g, 2)
+        export_subgraph(sub, tmp_path / "sub.tsv")
+        import_subgraph(tmp_path / "sub.tsv", g)
+        ref, memos = weakref.ref(g), len(taskgraph._tail_memos)
+        gc.disable()
+        try:
+            del g, sub
+            assert ref() is None and len(taskgraph._tail_memos) == memos - 1
+        finally:
+            gc.enable()
+
+    def test_names_out_of_normal_form_are_normalized(self, fruit_graph, tmp_path):
+        g = fruit_graph
+        sub = TaskSubgraph(g)
+        _, report = extend_subgraph(sub, ["Granny Smith", " Durian  X"], g, 1)
+        assert [(grant.name, grant.unknown) for grant in report.grants] == [
+            ("granny_smith", False), ("durian_x", True)]
+        assert report.unknown == ["durian_x"]
+        out = tmp_path / "sub.tsv"
+        out.write_text("0\t Granny  Smith \tIsA\tFRUIT\n", encoding="utf-8")
+        back = import_subgraph(out, g)
+        path = RelationPath((g.relation_id("IsA"),), g.entity_id("fruit"))
+        assert back.pair_to_class == sub.pair_to_class == {path: g.entity_id("granny_smith")}
+        assert back.class_names() == sub.class_names() == ["granny_smith"]
 
     def test_equal_relation_sequences_share_one_tuple(self, tmp_path):
         g = synthetic_graph(40, n_relations=4, contention=0.6, with_chains=True, seed=5)
@@ -322,8 +378,13 @@ class TestExport:
         # `isa-red IsA plant.` also reads (IsA, red), so the vote ties with c1
         ([("isa-red", "IsA", "plant"), ("c1", "IsA", "red")], "1\tisa-red\tIsA\tplant",
          ValueError, "subgraph line 2: class name 'isa-red' holds a keyword"),
+        # every row of a class must give its one task index, in its first run of rows or a later one
+        ([], "3\tgranny_smith\tReceiveAction\teaten", ValueError,
+         "subgraph line 2: class 'granny_smith' is in task 0"),
+        ([], "1\tpineapple\tAtLocation\tstore\n1\tgranny_smith\tReceiveAction\teaten", ValueError,
+         "subgraph line 3: class 'granny_smith' is in task 0"),
     ], ids=["unknown-class", "unknown-relation", "unknown-tail", "pair-owned",
-            "tail-keyword", "label-folds", "name-keyword"])
+            "tail-keyword", "label-folds", "name-keyword", "task-disagrees", "task-disagrees-later"])
     def test_import_rejects_row(self, tmp_path, extra, row, error, match):
         graph = KnowledgeGraph.from_facts(FRUIT_FACTS + extra)
         out = tmp_path / "bad.tsv"
