@@ -8,6 +8,7 @@ performance fixture.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -316,6 +317,7 @@ def test_criterion_7_baseline_dominance():
 def big_graph(tmp_path_factory):
     path = tmp_path_factory.mktemp("big") / "graph.tsv"
     large_graph_tsv(path)
+    assert hashlib.md5(path.read_bytes()).hexdigest() == "5a70d2ed5917b024a695b1be4b6c8892"
     return load_graph(path)
 
 

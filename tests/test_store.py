@@ -491,6 +491,9 @@ def test_normalized_names_merge_into_a_str_table(tmp_path):
      "a782ae05cc841148a670f7dff5574e09"),
     (dict(n_entities=2000, n_relations=120, n_facts=6000, n_classes=10, seed=4),
      "e4deb3fcb4a4fc9cd2cf6a3bd508877c"),
+    # crosses a 65,536-row write slice; 4-digit entity names and Rel100
+    (dict(n_entities=1001, n_relations=101, n_facts=70_000, n_classes=5, seed=3),
+     "d6068f022afb318bbc305945fb51e0a4"),
 ])
 def test_large_graph_tsv_bytes_are_pinned(tmp_path, kwargs, md5):
     path = tmp_path / "large.tsv"
