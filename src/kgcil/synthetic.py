@@ -8,8 +8,6 @@ relation, and fact counts for scale benchmarks.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .store import KnowledgeGraph
@@ -64,6 +62,24 @@ def write_tsv(facts, path) -> None:
             fh.write(f"{h}\t{r}\t{t}\n")
 
 
+def _decimal_rows(prefix: bytes, n: int, min_digits: int) -> np.ndarray:
+    """Row i holds prefix + i in decimal, zero-padded to min_digits, as uint8 bytes.
+
+    Rows share one width; a row whose number has fewer digits holds NUL
+    (0) bytes in the unused leading places, which the writer drops.
+    """
+    ids = np.arange(n, dtype=np.int64)
+    width = max(min_digits, len(str(n - 1)))
+    rows = np.zeros((n, len(prefix) + width), np.uint8)
+    rows[:, :len(prefix)] = np.frombuffer(prefix, np.uint8)
+    for k in range(width):  # the k-th digit from the right
+        col = rows[:, len(prefix) + width - 1 - k]
+        col[:] = ids // 10 ** k % 10 + ord("0")
+        if k >= min_digits:
+            col[ids < 10 ** k] = 0
+    return rows
+
+
 def large_graph_tsv(path, n_entities: int = 574_270, n_relations: int = 50,
                     n_facts: int = 1_380_131, n_classes: int = 200,
                     seed: int = 7) -> None:
@@ -73,7 +89,20 @@ def large_graph_tsv(path, n_entities: int = 574_270, n_relations: int = 50,
     the first n_classes entities get three dedicated facts each so they can be
     used as classes; the remainder is uniform random, deduplicated, and
     trimmed so the loaded graph has exactly the requested counts.
+
+    The file is written as bytes: a '# synthetic large graph' line, then one
+    line per fact of three tab-separated names, head e<i>, relation Rel<jj>
+    and tail e<i>. Entity ids are plain decimal, relation ids zero-padded to
+    two digits, and every line ends in LF on every platform. Lines are
+    gathered 65,536 at a time, so beyond the fact array and the two name
+    tables the write holds one slice's bytes. Class
+    c's dedicated tails reach entity n_classes + 3c + 17, so with n_classes
+    > 0 n_entities must exceed 4 * n_classes + 14; ValueError otherwise, and
+    for an n_facts too small, before the file is opened.
     """
+    if n_classes > 0 and n_entities <= 4 * n_classes + 14:
+        raise ValueError(f"n_entities={n_entities} too small for n_classes={n_classes}: "
+                         f"class tails reach entity {4 * n_classes + 14}")
     rng = np.random.default_rng(seed)
     # chain covers every entity and cycles through every relation
     chain_h = np.arange(n_entities - 1, dtype=np.int64)
@@ -89,22 +118,24 @@ def large_graph_tsv(path, n_entities: int = 574_270, n_relations: int = 50,
     extra = extra[extra[:, 0] != extra[:, 2]]
     all_rows = np.concatenate([chain, cls_facts, extra.astype(np.int64)])
     packed = (all_rows[:, 0] * n_relations + all_rows[:, 1]) * n_entities + all_rows[:, 2]
-    _, first = np.unique(packed, return_index=True)
-    keep = np.sort(first)[:n_facts]
+    # each distinct fact at its first position: the least position of its run of equal keys
+    order = np.argsort(packed)
+    packed = packed[order]
+    runs = np.flatnonzero(np.concatenate([[True], packed[1:] != packed[:-1]]))
+    keep = np.sort(np.minimum.reduceat(order, runs))[:n_facts]
     if len(keep) < n_facts:
         raise ValueError("random pool too small after dedup; raise the oversample factor")
     rows = all_rows[keep]
-    del chain_h, chain, extra, all_rows, packed, first, keep  # free them before the names
-    # names with their separators, so a line is three list lookups
-    heads = [f"e{i}\t" for i in range(n_entities)]
-    rels = [f"Rel{j:02d}\t" for j in range(n_relations)]
-    tails = [f"e{i}\n" for i in range(n_entities)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# synthetic large graph\n")
-        for lo in range(0, n_facts, 1 << 16):  # one join per slice bounds the memory
-            h, r, t = rows[lo:lo + (1 << 16)].T.tolist()
-            lines = zip(map(heads.__getitem__, h), map(rels.__getitem__, r), map(tails.__getitem__, t))
-            fh.write("".join(itertools.chain.from_iterable(lines)))
+    del chain_h, chain, extra, all_rows, packed, order, runs, keep  # free them before the names
+    ents, rels = _decimal_rows(b"e", n_entities, 1), _decimal_rows(b"Rel", n_relations, 2)
+    tab, lf = (np.full((1 << 16, 1), ord(c), np.uint8) for c in "\t\n")
+    with open(path, "wb") as fh:
+        fh.write(b"# synthetic large graph\n")
+        for lo in range(0, n_facts, 1 << 16):  # one slice at a time bounds the memory
+            h, r, t = rows[lo:lo + (1 << 16)].T
+            k = len(h)
+            raw = np.hstack([ents[h], tab[:k], rels[r], tab[:k], ents[t], lf[:k]])
+            fh.write(raw[raw != 0])
 
 
 def large_class_names(n_classes: int = 200) -> list[str]:

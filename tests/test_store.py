@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from kgcil import (EmptyGraph, Fact, KnowledgeGraph, LoadStats, MalformedLine, load_graph,
                    normalize_name, store)
-from kgcil.synthetic import large_graph_tsv, synthetic_facts
+from kgcil.synthetic import _decimal_rows, large_graph_tsv, synthetic_facts
 from conftest import FRUIT_FACTS, REEF_FACTS, write_tsv
 
 
@@ -585,3 +585,21 @@ def test_a_dropped_graph_frees_its_name_tables_without_a_collection():
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 1001])
+def test_decimal_rows_spell_the_names(n):
+    # NUL bytes stand where a number has fewer digits than the widest; the writer drops them
+    for prefix, min_digits, fmt in [(b"e", 1, "e{}"), (b"Rel", 2, "Rel{:02d}")]:
+        rows = _decimal_rows(prefix, n, min_digits)
+        assert [row[row != 0].tobytes().decode() for row in rows] == [fmt.format(i) for i in range(n)]
+
+
+def test_large_graph_tsv_refuses_class_tails_past_the_entities(tmp_path):
+    # class 9's last dedicated tail is entity 10 + 27 + 17 = 54, which 40 entities lack
+    path = tmp_path / "large.tsv"
+    with pytest.raises(ValueError, match="n_entities=40 .*n_classes=10"):
+        large_graph_tsv(path, n_entities=40, n_relations=7, n_facts=200, n_classes=10)
+    assert not path.exists()
+    large_graph_tsv(path, n_entities=55, n_relations=7, n_facts=200, n_classes=10)
+    assert load_graph(path).n_facts == 200
