@@ -85,7 +85,8 @@ def name_opens_no_capture(relations: NameTable, name: str) -> bool:
     A class name leads each clause of its text, so a keyword token in it
     would add a triplet of its own: `isa-red IsA fruit.` also reads (IsA, red).
     """
-    return not any(relations.resolve(t, fold=True) for t in _WORD_RE.findall(name))
+    keywords = relations.keywords()
+    return not any(keywords[t] for t in _WORD_RE.findall(name))
 
 
 def caption_mention(name: str) -> str:

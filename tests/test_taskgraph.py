@@ -483,16 +483,18 @@ class TestTextExclusivity:
 
     def test_class_named_with_a_keyword_not_granted(self):
         # `isa-red IsA fruit.` also parses to (IsA, red), which c1 owns; any
-        # token of the name that opens a capture is refused, a pair too
+        # token of the name that opens a capture is refused, in any case, a pair too
         g = KnowledgeGraph.from_facts([("isa-red", "IsA", "fruit"), ("c1", "IsA", "red"),
-                                       ("isa_color", "IsA", "veg"), ("c2", "Color", "red")])
+                                       ("isa_color", "IsA", "veg"), ("c2", "Color", "red"),
+                                       ("ISA", "Color", "blue"), ("c3", "Made", "wood"),
+                                       ("c3", "Of", "oak"), ("MADE_of-pie", "Color", "gold")])
         sub = TaskSubgraph(g)
-        _, report = extend_subgraph(sub, ["isa-red", "c1", "isa_color"], g, 1)
-        assert grant_names(sub, g, "isa-red") == []
-        assert grant_names(sub, g, "isa_color") == []
+        _, report = extend_subgraph(sub, ["isa-red", "c1", "isa_color", "ISA", "Made_Of-Pie"], g, 1)
+        for cname in ("isa-red", "isa_color", "isa", "made_of-pie"):
+            assert grant_names(sub, g, cname) == []
         assert grant_names(sub, g, "c1") == [("IsA", "red")]
-        assert report.shortfall == ["isa-red", "isa_color"]
-        assert [gr.granted for gr in report.grants] == [0, 1, 0]
+        assert report.shortfall == ["isa-red", "isa_color", "isa", "made_of-pie"]
+        assert [gr.granted for gr in report.grants] == [0, 1, 0, 0, 0]
         assert read_back(sub, g, "c1")[1] == "c1"
 
     def test_names_the_tokenizer_splits_not_granted(self):
