@@ -121,7 +121,7 @@ def large_graph_tsv(path, n_entities: int = 574_270, n_relations: int = 50,
     # each distinct fact at its first position: the least position of its run of equal keys
     order = np.argsort(packed)
     packed = packed[order]
-    runs = np.flatnonzero(np.concatenate([[True], packed[1:] != packed[:-1]]))
+    runs = np.flatnonzero(np.diff(packed, prepend=-1))  # keys are >= 0, so 0 starts a run
     keep = np.sort(np.minimum.reduceat(order, runs))[:n_facts]
     if len(keep) < n_facts:
         raise ValueError("random pool too small after dedup; raise the oversample factor")

@@ -494,6 +494,9 @@ def test_normalized_names_merge_into_a_str_table(tmp_path):
     # crosses a 65,536-row write slice; 4-digit entity names and Rel100
     (dict(n_entities=1001, n_relations=101, n_facts=70_000, n_classes=5, seed=3),
      "d6068f022afb318bbc305945fb51e0a4"),
+    # one entity and no classes: every drawn fact is a self-loop, so the pool is empty
+    (dict(n_entities=1, n_relations=3, n_facts=0, n_classes=0, seed=0),
+     "ac43bb6f0f1e381a97e25eabecb64a37"),
 ])
 def test_large_graph_tsv_bytes_are_pinned(tmp_path, kwargs, md5):
     path = tmp_path / "large.tsv"
