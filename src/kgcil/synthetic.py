@@ -93,12 +93,13 @@ def large_graph_tsv(path, n_entities: int = 574_270, n_relations: int = 50,
     The file is written as bytes: a '# synthetic large graph' line, then one
     line per fact of three tab-separated names, head e<i>, relation Rel<jj>
     and tail e<i>. Entity ids are plain decimal, relation ids zero-padded to
-    two digits, and every line ends in LF on every platform. Lines are
-    gathered 65,536 at a time, so beyond the fact array and the two name
-    tables the write holds one slice's bytes. Class
-    c's dedicated tails reach entity n_classes + 3c + 17, so with n_classes
-    > 0 n_entities must exceed 4 * n_classes + 14; ValueError otherwise, and
-    for an n_facts too small, before the file is opened.
+    at least two digits, and every line ends in LF on every platform. Lines
+    are gathered 65,536 at a time, so beyond the fact array and the two name
+    tables the write holds one slice's bytes.
+
+    Class c's dedicated tails reach entity n_classes + 3c + 17, so with
+    n_classes > 0, n_entities must exceed 4 * n_classes + 14. ValueError
+    otherwise, and for an n_facts too small, before the file is opened.
     """
     if n_classes > 0 and n_entities <= 4 * n_classes + 14:
         raise ValueError(f"n_entities={n_entities} too small for n_classes={n_classes}: "
