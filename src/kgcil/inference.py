@@ -226,7 +226,7 @@ class PieceTable:
         self.subgraph, self.encoder = subgraph, encoder
         self.candidates = Candidates(names, encoder.encode_batch(texts))
         self.pairs = len(subgraph.pair_to_class)
-        self._column = {graph.entities.get(name): j for j, name in enumerate(self.candidates.names)}
+        self._column = {name: j for j, name in enumerate(self.candidates.names)}
         self._rows, self._keys = {}, {}  # piece -> row, matched ParsedTriplet -> key
         self._pieces: list[str | None] = [None]  # row -> its piece
         self._triplets: list[list[ParsedTriplet]] = [[]]  # row -> its parsed triplets
@@ -240,12 +240,8 @@ class PieceTable:
     def _add(self, piece: str, triplets: list[ParsedTriplet] | None = None) -> int:
         if triplets is None:  # a head name comes with []: a name that owns pairs opens no capture
             triplets = parse_triplets(piece, self.subgraph.graph.relations)
-        graph, owner, found = self.subgraph.graph, self.subgraph.pair_to_class.get, ()
-        for trip in triplets:  # matched as in vote_head
-            cid = owner((trip.relations, graph.entities.get(trip.tail)))
-            if cid is not None:
-                key = len(self._keys) * len(self._column) + self._column[cid]
-                found += (self._keys.setdefault(trip, key),)
+        found = tuple(self._keys.setdefault(trip, len(self._keys) * len(self._column) + self._column[name])
+                      for trip, name in vote_head(triplets, self.subgraph)[0].matched)
         self._triplets.append(triplets)
         self._matched.append(found)
         self._pieces.append(piece)

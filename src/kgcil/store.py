@@ -15,8 +15,10 @@ import ctypes
 import re
 import weakref
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -261,21 +263,13 @@ class KnowledgeGraph:
         hi = bisect_left(keys, base + self._ne, lo, starts[tail + 1])
         return {key - base for key in keys[lo:hi]}
 
-    def two_hop_facts(self, head: int, limit: int = 1000) -> list[tuple[tuple[int, int], int]]:
-        """Relation chains head -> mid -> tail with tail outside {head, mid}.
+    def two_hop_facts(self, head: int, limit: int = 1000) -> Iterator[tuple[tuple[int, int], int]]:
+        """Relation chains head -> mid -> tail with tail outside {head, mid}, as ((r1, r2), tail).
 
-        Yields ((r1, r2), tail) pairs in deterministic index order, capped at
-        `limit` to bound work on hub-heavy heads.
+        Lazy, in index order, at most `limit`: none for 0; a negative limit raises ValueError.
         """
-        out: list[tuple[tuple[int, int], int]] = []
-        for r1, mid in self._head_edges(head):
-            for r2, o in self._head_edges(mid):
-                if o == head or o == mid:
-                    continue
-                out.append(((r1, r2), o))
-                if len(out) >= limit:
-                    return out
-        return out
+        return islice((((r1, r2), o) for r1, mid in self._head_edges(head)
+                       for r2, o in self._head_edges(mid) if o != head and o != mid), limit)
 
 
 def load_graph(path) -> KnowledgeGraph:

@@ -113,7 +113,9 @@ def _resolved(table, label: str) -> tuple[int, ...] | None:
 def _candidates(graph: KnowledgeGraph, cid: int):
     """(relations, tail, is_chain) of the direct facts, then of the two-hop chains.
 
-    Equal relation sequences are one tuple object, the one _shared keeps.
+    Lazy: a caller that stops early, as extend_subgraph does at r_target paths,
+    walks no further mids. Equal relation sequences are one tuple object, the
+    one _shared keeps.
     """
     shared = graph.relations.memo(_shared)
     for fact in graph.facts_of(cid):

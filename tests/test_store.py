@@ -127,7 +127,7 @@ class TestQueries:
         # ids outside the entity table have no facts, not another head's
         for head in (-2, -1, len(g.entities), len(g.entities) + 5):
             assert g.facts_of(head) == []
-            assert g.two_hop_facts(head) == []
+            assert list(g.two_hop_facts(head)) == []
 
     def test_two_hop(self, reef_graph):
         g = reef_graph
@@ -146,12 +146,29 @@ class TestQueries:
         g = KnowledgeGraph.from_facts(
             [("a", "R", "b"), ("b", "R", "c"), ("b", "R", "d"), ("b", "R", "e")]
         )
-        full = g.two_hop_facts(g.entity_id("a"))
+        full = list(g.two_hop_facts(g.entity_id("a")))
         assert len(full) == 3
-        assert g.two_hop_facts(g.entity_id("a"), limit=1) == full[:1]
+        assert list(g.two_hop_facts(g.entity_id("a"), limit=1)) == full[:1]
+
+    def test_two_hop_zero_and_negative_limit(self):
+        g = KnowledgeGraph.from_facts([("a", "R", "b"), ("b", "R", "c")])
+        assert list(g.two_hop_facts(g.entity_id("a"))) == [((0, 0), g.entity_id("c"))]
+        assert list(g.two_hop_facts(g.entity_id("a"), limit=0)) == []
+        with pytest.raises(ValueError):
+            g.two_hop_facts(g.entity_id("a"), limit=-1)
+
+    def test_two_hop_walks_a_mid_only_when_reached(self):
+        # a has three mids; the first chain needs only a's edges and b's
+        g = KnowledgeGraph.from_facts([("a", "R", "b"), ("a", "R", "c"), ("a", "R", "d"),
+                                       ("b", "R", "x"), ("c", "R", "y"), ("d", "R", "z")])
+        with mock.patch.object(KnowledgeGraph, "_head_edges", autospec=True,
+                               side_effect=KnowledgeGraph._head_edges) as spy:
+            first = next(g.two_hop_facts(g.entity_id("a")))
+        assert first == ((0, 0), g.entity_id("x"))
+        assert [c.args[1] for c in spy.call_args_list] == [g.entity_id("a"), g.entity_id("b")]
 
     def test_two_hop_no_outgoing(self, fruit_graph):
-        assert fruit_graph.two_hop_facts(fruit_graph.entity_id("pizza")) == []
+        assert list(fruit_graph.two_hop_facts(fruit_graph.entity_id("pizza"))) == []
 
     def test_fact_count_conservation(self, fruit_graph, reef_graph):
         for g in (fruit_graph, reef_graph):
@@ -214,7 +231,7 @@ def triple_lists(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(triple_lists(), st.integers(min_value=1, max_value=3))
+@given(triple_lists(), st.integers(min_value=0, max_value=3))
 def test_index_consistency_property(tmp_path_factory, triples, limit):
     if not triples:
         return
@@ -242,8 +259,8 @@ def test_index_consistency_property(tmp_path_factory, triples, limit):
     for h in edges:
         assert g.facts_of(h) == [Fact(h, r, t) for r, t in edges[h]]
         chains = [((r1, r2), t) for r1, mid in edges[h] for r2, t in edges[mid] if t not in (h, mid)]
-        assert g.two_hop_facts(h) == chains
-        assert g.two_hop_facts(h, limit) == chains[:limit]
+        assert list(g.two_hop_facts(h)) == chains
+        assert list(g.two_hop_facts(h, limit)) == chains[:limit]
 
 
 # -- parity with the per-line loader ------------------------------------------

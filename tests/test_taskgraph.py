@@ -57,6 +57,17 @@ class TestExtend:
         assert grant_names(sub, g, "clownfish") == [("RelatedTo_RelatedTo", "river")]
         assert rep.grants[0].fallback_used
 
+    def test_two_hop_fallback_stops_at_r_target(self, monkeypatch):
+        # 3 direct facts and a chain through each mid: the 4th path is b's chain, so c and d go unwalked
+        g = KnowledgeGraph.from_facts([("a", "R", "b"), ("a", "R", "c"), ("a", "R", "d"),
+                                       ("b", "S", "x"), ("c", "S", "y"), ("d", "S", "z")])
+        walked, head_edges = [], KnowledgeGraph._head_edges
+        monkeypatch.setattr(KnowledgeGraph, "_head_edges", lambda graph, head:
+                            walked.append(graph.entity_name(head)) or head_edges(graph, head))
+        _, rep = extend_subgraph(TaskSubgraph(g), ["a"], g, 4)
+        assert rep.grants[0].granted == 4 and rep.grants[0].fallback_used
+        assert walked == ["a", "a", "b"]
+
     def test_no_facts_means_shortfall(self, fruit_graph):
         # "eaten" exists only as a tail: no direct facts, no chains
         sub = TaskSubgraph(fruit_graph)
