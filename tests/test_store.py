@@ -149,10 +149,6 @@ class TestQueries:
         full = list(g.two_hop_facts(g.entity_id("a")))
         assert len(full) == 3
         assert list(g.two_hop_facts(g.entity_id("a"), limit=1)) == full[:1]
-
-    def test_two_hop_zero_and_negative_limit(self):
-        g = KnowledgeGraph.from_facts([("a", "R", "b"), ("b", "R", "c")])
-        assert list(g.two_hop_facts(g.entity_id("a"))) == [((0, 0), g.entity_id("c"))]
         assert list(g.two_hop_facts(g.entity_id("a"), limit=0)) == []
         with pytest.raises(ValueError):
             g.two_hop_facts(g.entity_id("a"), limit=-1)
