@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 
-from .config import ConfigError, load_run_config
+from .config import load_run_config
 from .encoders import HashingEncoder, encoder_from_config
 from .harness import (
     SIMULATION_CAVEAT,
@@ -25,8 +25,8 @@ from .harness import (
 )
 from .inference import EmptyCandidates, infer, prediction_record
 from .simulate import GeneratorConfig
-from .store import EmptyGraph, MalformedLine, load_graph
-from .taskgraph import TaskSubgraph, UnknownClass, export_subgraph, extend_subgraph, import_subgraph
+from .store import load_graph
+from .taskgraph import TaskSubgraph, export_subgraph, extend_subgraph, import_subgraph
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -216,9 +216,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (MalformedLine, EmptyGraph, ConfigError, UnknownClass, FileNotFoundError,
-            IsADirectoryError, NotADirectoryError, PermissionError,
-            json.JSONDecodeError, ValueError) as exc:
+    except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
+            PermissionError, ValueError) as exc:
         log.error("%s", exc)
         return EXIT_INPUT
     except Exception:

@@ -129,36 +129,21 @@ class SessionResult(Record):
 
 
 @dataclass
-class OrderResult:
+class OrderResult(Record):
     seed: int
     sessions: list[SessionResult]
+    avg: float = field(init=False)
+    last: float = field(init=False)
+    pd: float = field(init=False)
+    hacc: float = field(init=False)
 
-    @property
-    def avg(self) -> float:
-        return float(np.mean([s.accuracy for s in self.sessions]))
-
-    @property
-    def last(self) -> float:
-        return self.sessions[-1].accuracy
-
-    @property
-    def pd(self) -> float:
-        return compute_pd(self.sessions[0].accuracy, self.sessions[-1].accuracy)
-
-    @property
-    def hacc(self) -> float:
-        final = self.sessions[-1]
-        return compute_hacc(final.base_accuracy, final.accuracy)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "sessions": [s.to_dict() for s in self.sessions],
-            "avg": self.avg,
-            "last": self.last,
-            "pd": self.pd,
-            "hacc": self.hacc,
-        }
+    def __post_init__(self):
+        if not self.sessions:
+            raise ValueError("an order needs at least one session")
+        accuracies = [s.accuracy for s in self.sessions]
+        self.avg, self.last = float(np.mean(accuracies)), accuracies[-1]
+        self.pd = compute_pd(accuracies[0], self.last)
+        self.hacc = compute_hacc(self.sessions[-1].base_accuracy, self.last)
 
 
 METRICS = ("avg", "last", "pd", "hacc")
@@ -365,7 +350,9 @@ def run_paired_comparison(graph, schedule, generator: GeneratorConfig, r_target,
 # -- micro-benchmark --------------------------------------------------------
 
 @dataclass
-class BenchReport:
+class BenchReport(Record):
+    """`kgcil bench`'s report; to_tsv prints a field bare unless _formats names its format."""
+
     samples: int
     classes: int
     mean_paths_per_class: float
@@ -376,17 +363,12 @@ class BenchReport:
     storage_mb: float
     seed: int
 
+    _formats = {"mean_paths_per_class": ".2f", "avg_text_length_chars": ".1f",
+                **dict.fromkeys((*TIMINGS, "storage_mb"), ".4f")}
+
     def to_tsv(self) -> str:
-        rows = [
-            ("samples", str(self.samples)),
-            ("classes", str(self.classes)),
-            ("mean_paths_per_class", f"{self.mean_paths_per_class:.2f}"),
-            ("avg_text_length_chars", f"{self.avg_text_length_chars:.1f}"),
-            *((key, f"{getattr(self, key):.4f}") for key in TIMINGS),
-            ("storage_mb", f"{self.storage_mb:.4f}"),
-            ("seed", str(self.seed)),
-        ]
-        return "metric\tvalue\n" + "\n".join(f"{k}\t{v}" for k, v in rows) + "\n"
+        return "metric\tvalue\n" + "".join(f"{key}\t{value:{self._formats.get(key, '')}}\n"
+                                          for key, value in self.to_dict().items())
 
 
 # the generator whose time `run` spends: corrupted clauses in filler, as in demos/05

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kgcil import TaskSchedule
+from kgcil import MetricsReport, OrderResult, SessionResult, TaskSchedule
 from kgcil.cli import EXIT_INPUT, EXIT_OK, main, parse_classes_file
 from kgcil.harness import TIMINGS
 from kgcil.synthetic import class_name, synthetic_facts, write_tsv
@@ -172,6 +172,31 @@ class TestRun:
         assert metrics["comparison"]["margins"]["avg"] > 0
         csv_text = (tmp_path / "out" / "sessions.csv").read_text()
         assert "baseline" in csv_text and "augmented" in csv_text
+
+    def test_output_dir_naming_a_file_is_input_error(self, capsys, synth_tsv, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = self.write_config(tmp_path, synth_tsv, output_dir=str(taken))
+        code, out, err = run_cli(capsys, "run", str(cfg))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert str(taken) in err
+        assert "Traceback" not in err
+
+    def test_metrics_json_rebuilds_from_its_records(self, capsys, synth_tsv, tmp_path):
+        """Each order block rebuilds from its seed and sessions alone, key order included."""
+        cfg = self.write_config(tmp_path, synth_tsv, generator={
+            "mode": "corrupted", "p_drop": 0.3, "p_swap": 0.3, "seed": 1})
+        code, _, _ = run_cli(capsys, "run", str(cfg))
+        assert code == EXIT_OK
+        text = (tmp_path / "out" / "metrics.json").read_text()
+        doc = json.loads(text)
+        orders = [OrderResult(o["seed"], [SessionResult(**s) for s in o["sessions"]])
+                  for o in doc["orders"]]
+        for order, block in zip(orders, doc["orders"]):
+            assert json.dumps(order.to_dict()) == json.dumps(block)
+        report = MetricsReport(orders=orders, config=doc["config"], caveat=doc["caveat"])
+        assert json.dumps(report.to_dict(), indent=2) + "\n" == text
 
     def test_negative_jobs_is_input_error(self, capsys, synth_tsv, tmp_path):
         cfg = self.write_config(tmp_path, synth_tsv)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kgcil import (
+    BenchReport,
     GeneratorConfig,
     HashingEncoder,
     MetricsReport,
@@ -110,6 +111,10 @@ class TestMetricFormulas:
         assert order.avg == pytest.approx(0.70)
         assert order.last == 0.60
         assert order.pd == pytest.approx(0.20)
+
+    def test_order_needs_a_session(self):
+        with pytest.raises(ValueError, match="an order needs at least one session"):
+            OrderResult(0, [])
 
     def test_population_std(self):
         sessions_a = [SessionResult(0, [], {}, 0.8, 0.8, 0.0, 0.0, 0.0, 0)]
@@ -301,6 +306,35 @@ class TestBench:
         assert report.classes == 0
         assert report.generation_ms == 0.0
         assert report.storage_mb == 0.0
+        assert report.to_tsv() == (
+            "metric\tvalue\n"
+            "samples\t10\n"
+            "classes\t0\n"
+            "mean_paths_per_class\t0.00\n"
+            "avg_text_length_chars\t0.0\n"
+            "generation_ms\t0.0000\n"
+            "vote_ms\t0.0000\n"
+            "classify_ms\t0.0000\n"
+            "storage_mb\t0.0000\n"
+            "seed\t0\n"
+        )
+
+    def test_tsv_rows_follow_the_fields(self):
+        report = BenchReport(samples=1000, classes=200, mean_paths_per_class=2.9951,
+                             avg_text_length_chars=179.46, generation_ms=1.04771,
+                             vote_ms=0.067449, classify_ms=0.13886, storage_mb=0.01704, seed=2)
+        assert report.to_tsv() == (
+            "metric\tvalue\n"
+            "samples\t1000\n"
+            "classes\t200\n"
+            "mean_paths_per_class\t3.00\n"
+            "avg_text_length_chars\t179.5\n"
+            "generation_ms\t1.0477\n"
+            "vote_ms\t0.0674\n"
+            "classify_ms\t0.1389\n"
+            "storage_mb\t0.0170\n"
+            "seed\t2\n"
+        )
 
     @pytest.mark.parametrize("n_samples", [0, -5])
     def test_rejects_samples_below_one(self, small_graph, n_samples):
