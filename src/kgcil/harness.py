@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -146,7 +146,7 @@ class OrderResult(Record):
         self.hacc = compute_hacc(self.sessions[-1].base_accuracy, self.last)
 
 
-METRICS = ("avg", "last", "pd", "hacc")
+METRICS = tuple(f.name for f in fields(OrderResult) if not f.init)  # avg, last, pd, hacc
 TIMINGS = ("generation_ms", "vote_ms", "classify_ms")  # per sample, the stage times of a session
 
 

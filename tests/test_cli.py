@@ -184,7 +184,7 @@ class TestRun:
         assert "Traceback" not in err
 
     def test_metrics_json_rebuilds_from_its_records(self, capsys, synth_tsv, tmp_path):
-        """Each order block rebuilds from its seed and sessions alone, key order included."""
+        """From each order's seed and sessions alone the file rebuilds byte for byte."""
         cfg = self.write_config(tmp_path, synth_tsv, generator={
             "mode": "corrupted", "p_drop": 0.3, "p_swap": 0.3, "seed": 1})
         code, _, _ = run_cli(capsys, "run", str(cfg))
@@ -193,8 +193,6 @@ class TestRun:
         doc = json.loads(text)
         orders = [OrderResult(o["seed"], [SessionResult(**s) for s in o["sessions"]])
                   for o in doc["orders"]]
-        for order, block in zip(orders, doc["orders"]):
-            assert json.dumps(order.to_dict()) == json.dumps(block)
         report = MetricsReport(orders=orders, config=doc["config"], caveat=doc["caveat"])
         assert json.dumps(report.to_dict(), indent=2) + "\n" == text
 
