@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,15 +32,15 @@ SIMULATION_CAVEAT = (
 
 
 @dataclass
-class TaskSchedule:
+class TaskSchedule(Record):
     """Class list plus a split recipe; the split applies to a shuffled order.
 
     A recipe that cannot split its own class list, or samples_per_class
     below 1, raises ValueError here.
     """
 
-    classes: list[str]
     kind: str
+    classes: list[str]
     n_tasks: int = 0
     base_size: int = 0
     n_incremental: int = 0
@@ -55,18 +55,18 @@ class TaskSchedule:
 
     @classmethod
     def b0(cls, classes, n_tasks: int, samples_per_class: int = 100) -> "TaskSchedule":
-        return cls(classes, "b0", n_tasks=n_tasks, samples_per_class=samples_per_class)
+        return cls("b0", classes, n_tasks=n_tasks, samples_per_class=samples_per_class)
 
     @classmethod
     def b100(cls, classes, base_size: int, n_incremental: int,
              samples_per_class: int = 100) -> "TaskSchedule":
-        return cls(classes, "b100", base_size=base_size, n_incremental=n_incremental,
+        return cls("b100", classes, base_size=base_size, n_incremental=n_incremental,
                    samples_per_class=samples_per_class)
 
     @classmethod
     def fewshot(cls, classes, base_size: int = 60, way: int = 5,
                 samples_per_class: int = 100) -> "TaskSchedule":
-        return cls(classes, "fewshot", base_size=base_size, way=way,
+        return cls("fewshot", classes, base_size=base_size, way=way,
                    samples_per_class=samples_per_class)
 
     def split(self, ordered: list[str]) -> list[list[str]]:
@@ -88,9 +88,6 @@ class TaskSchedule:
                                  f"{self.base_size} plus {self.way}-way sessions")
             return [base] + [rest[i: i + self.way] for i in range(0, len(rest), self.way)]
         raise ValueError(f"unknown schedule kind: {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **asdict(self)}
 
 
 def _even_chunks(items: list[str], n: int) -> list[list[str]]:
@@ -150,27 +147,21 @@ METRICS = tuple(f.name for f in fields(OrderResult) if not f.init)  # avg, last,
 TIMINGS = ("generation_ms", "vote_ms", "classify_ms")  # per sample, the stage times of a session
 
 
-@dataclass
-class MetricsReport:
-    orders: list[OrderResult]
-    config: dict = field(default_factory=dict)
+@dataclass(kw_only=True)
+class MetricsReport(Record):
     caveat: str = SIMULATION_CAVEAT
+    config: dict = field(default_factory=dict)
+    orders: list[OrderResult]
+    summary: dict = field(init=False)  # metric -> mean and std over the orders
 
-    def summary(self) -> dict:
-        out = {}
+    def __post_init__(self):
+        if not self.orders:
+            raise ValueError("a report needs at least one order")
+        self.summary = {}
         for metric in METRICS:
             values = np.array([getattr(o, metric) for o in self.orders], dtype=float)
             # population std matches the usual mean +/- spread over class orders
-            out[metric] = {"mean": float(values.mean()), "std": float(values.std())}
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "caveat": self.caveat,
-            "config": self.config,
-            "orders": [o.to_dict() for o in self.orders],
-            "summary": self.summary(),
-        }
+            self.summary[metric] = {"mean": float(values.mean()), "std": float(values.std())}
 
     def comparable(self) -> dict:
         """Everything that must reproduce bit-for-bit across identical runs.
@@ -186,7 +177,7 @@ class MetricsReport:
 
     def format_summary(self) -> str:
         parts = []
-        for metric, stats in self.summary().items():
+        for metric, stats in self.summary.items():
             parts.append(f"{metric} {stats['mean'] * 100:.2f} +/- {stats['std'] * 100:.2f}")
         return ", ".join(parts)
 
@@ -217,24 +208,23 @@ class Session:
     generator: TextGenerator
     pieces: PieceTable  # ranks against the classes seen so far; lives while the registry is fixed
     index: int
-    samples: int  # per class
     order_seed: int | None  # diagnostics records name their order with it
     diagnostics: bool
 
     @classmethod
     def build(cls, subgraph: TaskSubgraph, config: GeneratorConfig, encoder,
-              class_text_mode: str, index: int, samples: int, order_seed: int | None,
+              class_text_mode: str, index: int, order_seed: int | None,
               diagnostics: bool) -> "Session":
         """The session's candidates are the subgraph's classes, built by its piece table."""
         return cls(subgraph, TextGenerator(subgraph.graph, subgraph, config),
                    PieceTable(subgraph, encoder, class_text_mode),
-                   index, samples, order_seed, diagnostics)
+                   index, order_seed, diagnostics)
 
-    def evaluate(self, cname: str) -> dict:
+    def evaluate(self, cname: str, samples: int) -> dict:
         """Evaluate one class's samples as one batch: rows 0 .. samples-1 of its stream."""
         graph = self.subgraph.graph
         cid = graph.entities.get(cname)
-        stream, rows = (self.index, cid), range(self.samples)
+        stream, rows = (self.index, cid), range(samples)
         t0 = time.perf_counter()
         # a class with no paths has nothing to render: it is evaluated on bare captions
         texts = self.generator.generate_batch(cid, stream, rows,
@@ -249,7 +239,7 @@ class Session:
         return {
             "name": cname,
             "correct": sum(batch.final_class(s) == cname for s in rows),
-            "total": self.samples,
+            "total": samples,
             "chars": sum(map(len, texts)),
             "generation_ms": gen_ms,
             "vote_ms": batch.vote_ms,
@@ -306,9 +296,8 @@ def _run_order(graph, schedule, names, generator, r_target, encoder, seed,
         seen.extend(sess_classes)
         if t == 0:
             base = list(sess_classes)
-        session = Session.build(sub, generator, encoder, class_text_mode, t,
-                               schedule.samples_per_class, seed, diag is not None)
-        rows = [session.evaluate(c) for c in seen]
+        session = Session.build(sub, generator, encoder, class_text_mode, t, seed, diag is not None)
+        rows = [session.evaluate(c, schedule.samples_per_class) for c in seen]
         per_class = {row["name"]: [row["correct"], row["total"]] for row in rows}
         n_total = sum(v[1] for v in per_class.values())
         n_correct = sum(v[0] for v in per_class.values())
@@ -336,7 +325,7 @@ def run_paired_comparison(graph, schedule, generator: GeneratorConfig, r_target,
     kwargs.pop("diagnostics_path", None)
     baseline = run_experiment(graph, schedule, baseline_config(generator), r_target,
                               encoder, orders, **kwargs)
-    aug_s, base_s = augmented.summary(), baseline.summary()
+    aug_s, base_s = augmented.summary, baseline.summary
     return {
         "augmented": augmented,
         "baseline": baseline,
@@ -391,8 +380,8 @@ def bench(graph: KnowledgeGraph, subgraph: TaskSubgraph, n_samples: int = 1000,
         return BenchReport(n_samples, len(subgraph.assignments), *[0.0] * 6, seed)
     per_class, extra = divmod(n_samples, len(assigned))
     session = Session.build(subgraph, GeneratorConfig(seed=seed, **_BENCH_GENERATOR),
-                           HashingEncoder(), "name", 0, per_class, None, False)
-    rows = [replace(session, samples=per_class + (k < extra)).evaluate(name)
+                           HashingEncoder(), "name", 0, None, False)
+    rows = [session.evaluate(name, per_class + (k < extra))
             for k, name in enumerate(assigned[:n_samples])]
     paths = sum(len(a.paths) for a in subgraph.assignments.values())
     return BenchReport(

@@ -60,16 +60,20 @@ class Prediction:
     tally: VoteTally | None = None
 
 
+def _owner(trip: ParsedTriplet, subgraph: TaskSubgraph) -> int | None:
+    """The class id whose registry holds the triplet's (relations, tail) pair, or None."""
+    return subgraph.pair_to_class.get((trip.relations, subgraph.graph.entities.get(trip.tail)))
+
+
 def vote_head(triplets, subgraph: TaskSubgraph) -> tuple[VoteTally, str | None]:
     """Count pair-registry matches per class; every occurrence is one vote."""
     tally = VoteTally()
-    graph = subgraph.graph
     for trip in triplets:
-        cid = subgraph.pair_to_class.get((trip.relations, graph.entities.get(trip.tail)))
+        cid = _owner(trip, subgraph)
         if cid is None:
             tally.unmatched.append(trip)
         else:
-            name = graph.entities.name(cid)
+            name = subgraph.graph.entities.name(cid)
             tally.counts[name] = tally.counts.get(name, 0) + 1
             tally.matched.append((trip, name))
     return tally, tally.best()
@@ -226,7 +230,7 @@ class PieceTable:
         self.subgraph, self.encoder = subgraph, encoder
         self.candidates = Candidates(names, encoder.encode_batch(texts))
         self.pairs = len(subgraph.pair_to_class)
-        self._column = {name: j for j, name in enumerate(self.candidates.names)}
+        self._column = {graph.entities.get(name): j for j, name in enumerate(self.candidates.names)}
         self._rows, self._keys = {}, {}  # piece -> row, matched ParsedTriplet -> key
         self._pieces: list[str | None] = [None]  # row -> its piece
         self._triplets: list[list[ParsedTriplet]] = [[]]  # row -> its parsed triplets
@@ -240,8 +244,8 @@ class PieceTable:
     def _add(self, piece: str, triplets: list[ParsedTriplet] | None = None) -> int:
         if triplets is None:  # a head name comes with []: a name that owns pairs opens no capture
             triplets = parse_triplets(piece, self.subgraph.graph.relations)
-        found = tuple(self._keys.setdefault(trip, len(self._keys) * len(self._column) + self._column[name])
-                      for trip, name in vote_head(triplets, self.subgraph)[0].matched)
+        found = tuple(self._keys.setdefault(trip, len(self._keys) * len(self._column) + self._column[cid])
+                      for trip in triplets if (cid := _owner(trip, self.subgraph)) is not None)
         self._triplets.append(triplets)
         self._matched.append(found)
         self._pieces.append(piece)

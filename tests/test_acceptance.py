@@ -301,8 +301,8 @@ def test_criterion_7_baseline_dominance():
             out = run_paired_comparison(
                 g, schedule, GeneratorConfig(p_drop=p_drop, p_swap=p_swap, seed=17),
                 3, enc, orders=[0])
-            aug = out["augmented"].summary()["avg"]["mean"]
-            base = out["baseline"].summary()["avg"]["mean"]
+            aug = out["augmented"].summary["avg"]["mean"]
+            base = out["baseline"].summary["avg"]["mean"]
             margins[(p_drop, p_swap)] = (aug - base) * 100
             assert aug >= base, (
                 f"baseline won at p_drop={p_drop} p_swap={p_swap}: {aug:.4f} < {base:.4f}")

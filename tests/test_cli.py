@@ -183,18 +183,30 @@ class TestRun:
         assert str(taken) in err
         assert "Traceback" not in err
 
-    def test_metrics_json_rebuilds_from_its_records(self, capsys, synth_tsv, tmp_path):
+    @pytest.mark.parametrize("compare_baseline", [False, True])
+    def test_metrics_json_rebuilds_from_its_records(self, capsys, synth_tsv, tmp_path,
+                                                    compare_baseline):
         """From each order's seed and sessions alone the file rebuilds byte for byte."""
-        cfg = self.write_config(tmp_path, synth_tsv, generator={
-            "mode": "corrupted", "p_drop": 0.3, "p_swap": 0.3, "seed": 1})
+        cfg = self.write_config(tmp_path, synth_tsv, compare_baseline=compare_baseline,
+                                generator={"mode": "corrupted", "p_drop": 0.3, "p_swap": 0.3,
+                                           "seed": 1})
         code, _, _ = run_cli(capsys, "run", str(cfg))
         assert code == EXIT_OK
         text = (tmp_path / "out" / "metrics.json").read_text()
         doc = json.loads(text)
-        orders = [OrderResult(o["seed"], [SessionResult(**s) for s in o["sessions"]])
-                  for o in doc["orders"]]
-        report = MetricsReport(orders=orders, config=doc["config"], caveat=doc["caveat"])
-        assert json.dumps(report.to_dict(), indent=2) + "\n" == text
+
+        def rebuild(block: dict) -> dict:
+            orders = [OrderResult(o["seed"], [SessionResult(**s) for s in o["sessions"]])
+                      for o in block["orders"]]
+            return MetricsReport(orders=orders, config=block["config"],
+                                 caveat=block["caveat"]).to_dict()
+
+        rebuilt = rebuild(doc)
+        assert ("comparison" in doc) == compare_baseline
+        if compare_baseline:  # the baseline arm rebuilds too; only the margins are copied
+            rebuilt["comparison"] = {**doc["comparison"],
+                                     "baseline": rebuild(doc["comparison"]["baseline"])}
+        assert json.dumps(rebuilt, indent=2) + "\n" == text
 
     def test_negative_jobs_is_input_error(self, capsys, synth_tsv, tmp_path):
         cfg = self.write_config(tmp_path, synth_tsv)

@@ -42,6 +42,12 @@ class TestSchedule:
         assert [len(p) for p in parts] == [3, 3, 2, 2]
         assert sum(parts, []) == classes
 
+    def test_echo_key_order(self):
+        # metrics.json's config.schedule keeps this order
+        sched = TaskSchedule.b0([class_name(i) for i in range(6)], 2)
+        assert list(sched.to_dict()) == ["kind", "classes", "n_tasks", "base_size",
+                                         "n_incremental", "way", "samples_per_class"]
+
     @pytest.mark.parametrize("samples", [0, -1])
     def test_rejects_samples_per_class_below_one(self, samples):
         # 0 once divided by zero in the run, and -1 gave zero accuracies over totals of -1
@@ -116,13 +122,18 @@ class TestMetricFormulas:
         with pytest.raises(ValueError, match="an order needs at least one session"):
             OrderResult(0, [])
 
+    def test_report_needs_an_order(self):
+        # an empty list once summarised every metric as NaN, written as non-strict JSON
+        with pytest.raises(ValueError, match="a report needs at least one order"):
+            MetricsReport(orders=[])
+
     def test_population_std(self):
         sessions_a = [SessionResult(0, [], {}, 0.8, 0.8, 0.0, 0.0, 0.0, 0)]
         sessions_b = [SessionResult(0, [], {}, 0.6, 0.6, 0.0, 0.0, 0.0, 0)]
         report = MetricsReport(orders=[
             OrderResult(0, sessions_a), OrderResult(1, sessions_b),
         ])
-        stats = report.summary()["last"]
+        stats = report.summary["last"]
         assert stats["mean"] == pytest.approx(0.7)
         assert stats["std"] == pytest.approx(0.1)
 
@@ -143,7 +154,7 @@ class TestRunExperiment:
             small_graph, small_schedule, GeneratorConfig(mode="oracle"),
             3, HashingEncoder(128), orders=[0, 1],
         )
-        stats = report.summary()
+        stats = report.summary
         assert stats["avg"]["mean"] == 1.0
         assert stats["last"]["mean"] == 1.0
         assert stats["pd"]["mean"] == 0.0
@@ -275,7 +286,7 @@ class TestRunExperiment:
             small_graph, small_schedule, GeneratorConfig(mode="oracle"),
             2, HashingEncoder(128), orders=[0], class_text_mode="name_plus_triplets",
         )
-        assert report.summary()["last"]["mean"] == 1.0
+        assert report.summary["last"]["mean"] == 1.0
 
     def test_bad_class_text_mode(self, small_graph, small_schedule, tmp_path):
         diag = tmp_path / "diagnostics.jsonl"

@@ -327,8 +327,7 @@ def test_keyword_name_caption_votes_for_no_class():
     sub = TaskSubgraph(g)
     extend_subgraph(sub, ["isa-red", "c1"], g, 2)
     assert not sub.assignments[g.entity_id("isa-red")].paths
-    session = Session.build(sub, GeneratorConfig(seed=0), HashingEncoder(64), "name", 0, 3, 0,
-                            True)
-    records = session.evaluate("isa-red")["records"]
+    session = Session.build(sub, GeneratorConfig(seed=0), HashingEncoder(64), "name", 0, 0, True)
+    records = session.evaluate("isa-red", 3)["records"]
     assert [r["graph_head"] for r in records] == [None] * 3
     assert [r["matched"] for r in records] == [[]] * 3
