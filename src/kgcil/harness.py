@@ -208,44 +208,26 @@ class Session:
     generator: TextGenerator
     pieces: PieceTable  # ranks against the classes seen so far; lives while the registry is fixed
     index: int
-    order_seed: int | None  # diagnostics records name their order with it
-    diagnostics: bool
 
     @classmethod
     def build(cls, subgraph: TaskSubgraph, config: GeneratorConfig, encoder,
-              class_text_mode: str, index: int, order_seed: int | None,
-              diagnostics: bool) -> "Session":
+              class_text_mode: str, index: int) -> "Session":
         """The session's candidates are the subgraph's classes, built by its piece table."""
         return cls(subgraph, TextGenerator(subgraph.graph, subgraph, config),
-                   PieceTable(subgraph, encoder, class_text_mode),
-                   index, order_seed, diagnostics)
+                   PieceTable(subgraph, encoder, class_text_mode), index)
 
     def evaluate(self, cname: str, samples: int) -> dict:
         """Evaluate one class's samples as one batch: rows 0 .. samples-1 of its stream."""
-        graph = self.subgraph.graph
-        cid = graph.entities.get(cname)
-        stream, rows = (self.index, cid), range(samples)
+        cid = self.subgraph.graph.entities.get(cname)
         t0 = time.perf_counter()
         # a class with no paths has nothing to render: it is evaluated on bare captions
-        texts = self.generator.generate_batch(cid, stream, rows,
+        texts = self.generator.generate_batch(cid, (self.index, cid), range(samples),
                                               baseline=not self.subgraph.assignments[cid].paths)
         gen_ms = (time.perf_counter() - t0) * 1000.0
         batch = infer_batch(texts, self.pieces)
-        records = None
-        if self.diagnostics:
-            where = {"order_seed": self.order_seed, "session": self.index, "true_class": cname}
-            records = [{**prediction_record(text, pred, graph.relations), **where, "sample": s}
-                       for s, (text, pred) in enumerate(zip(texts, batch.predictions()))]
-        return {
-            "name": cname,
-            "correct": sum(batch.final_class(s) == cname for s in rows),
-            "total": samples,
-            "chars": sum(map(len, texts)),
-            "generation_ms": gen_ms,
-            "vote_ms": batch.vote_ms,
-            "classify_ms": batch.classify_ms,
-            "records": records,
-        }
+        return {"texts": texts, "batch": batch,
+                "correct": sum(batch.final_class(s) == cname for s in range(samples)),
+                "generation_ms": gen_ms, "vote_ms": batch.vote_ms, "classify_ms": batch.classify_ms}
 
 
 def run_experiment(graph: KnowledgeGraph, schedule: TaskSchedule,
@@ -255,7 +237,8 @@ def run_experiment(graph: KnowledgeGraph, schedule: TaskSchedule,
     """Run the schedule once per class order and aggregate metrics.
 
     orders is a list of shuffle seeds; every class must resolve to a graph
-    entity (UnknownClass otherwise).
+    entity (UnknownClass otherwise). Each class batch is scored, and its
+    diagnostics records written, before the next class is evaluated.
     """
     orders = list(orders)
     if not orders:
@@ -266,13 +249,38 @@ def run_experiment(graph: KnowledgeGraph, schedule: TaskSchedule,
             raise UnknownClass(name)
     if class_text_mode not in CLASS_TEXT_MODES:
         raise ValueError(f"class_text_mode must be one of {CLASS_TEXT_MODES}")
+    n = schedule.samples_per_class
+    results = []
     diag = open(diagnostics_path, "w", encoding="utf-8") if diagnostics_path else None
     try:
-        results = [
-            _run_order(graph, schedule, names, generator, r_target, encoder, seed,
-                       class_text_mode, diag)
-            for seed in orders
-        ]
+        for seed in orders:
+            rng = np.random.default_rng(seed)
+            sessions = schedule.split([names[i] for i in rng.permutation(len(names))])
+            sub, seen, out, base = TaskSubgraph(graph), [], [], sessions[0]
+            for t, new_classes in enumerate(sessions):
+                extend_subgraph(sub, new_classes, graph, r_target)
+                seen.extend(new_classes)
+                session = Session.build(sub, generator, encoder, class_text_mode, t)
+                per_class, spent = {}, dict.fromkeys(TIMINGS, 0.0)
+                for cname in seen:
+                    row = session.evaluate(cname, n)
+                    per_class[cname] = [row["correct"], n]
+                    for key in TIMINGS:
+                        spent[key] += row[key]
+                    if diag:
+                        where = {"order_seed": seed, "session": t, "true_class": cname}
+                        diag.write("".join(
+                            json.dumps({**prediction_record(text, pred, graph.relations),
+                                        **where, "sample": s}) + "\n"
+                            for s, (text, pred)
+                            in enumerate(zip(row["texts"], row["batch"].predictions()))))
+                out.append(SessionResult(
+                    index=t, new_classes=list(new_classes), per_class=per_class,
+                    accuracy=sum(c for c, _ in per_class.values()) / (n * len(seen)),
+                    base_accuracy=sum(per_class[c][0] for c in base) / (n * len(base)),
+                    **{key: spent[key] / (n * len(seen)) for key in TIMINGS},
+                    subgraph_bytes=len(render_export(sub).encode("utf-8"))))
+            results.append(OrderResult(seed=seed, sessions=out))
     finally:
         if diag:
             diag.close()
@@ -280,41 +288,6 @@ def run_experiment(graph: KnowledgeGraph, schedule: TaskSchedule,
             "schedule": schedule.to_dict(), "encoder": encoder.to_config(),
             "class_text_mode": class_text_mode}
     return MetricsReport(orders=results, config=echo)
-
-
-def _run_order(graph, schedule, names, generator, r_target, encoder, seed,
-               class_text_mode, diag) -> OrderResult:
-    rng = np.random.default_rng(seed)
-    ordered = [names[i] for i in rng.permutation(len(names))]
-    sessions = schedule.split(ordered)
-    sub = TaskSubgraph(graph)
-    seen: list[str] = []
-    base: list[str] = []
-    out: list[SessionResult] = []
-    for t, sess_classes in enumerate(sessions):
-        extend_subgraph(sub, sess_classes, graph, r_target)
-        seen.extend(sess_classes)
-        if t == 0:
-            base = list(sess_classes)
-        session = Session.build(sub, generator, encoder, class_text_mode, t, seed, diag is not None)
-        rows = [session.evaluate(c, schedule.samples_per_class) for c in seen]
-        per_class = {row["name"]: [row["correct"], row["total"]] for row in rows}
-        n_total = sum(v[1] for v in per_class.values())
-        n_correct = sum(v[0] for v in per_class.values())
-        base_total = sum(per_class[c][1] for c in base)
-        base_correct = sum(per_class[c][0] for c in base)
-        if diag:
-            diag.write("".join(json.dumps(rec) + "\n" for row in rows for rec in row["records"]))
-        out.append(SessionResult(
-            index=t,
-            new_classes=list(sess_classes),
-            per_class=per_class,
-            accuracy=n_correct / n_total,
-            base_accuracy=base_correct / base_total,
-            **{key: sum(r[key] for r in rows) / n_total for key in TIMINGS},
-            subgraph_bytes=len(render_export(sub).encode("utf-8")),
-        ))
-    return OrderResult(seed=seed, sessions=out)
 
 
 def run_paired_comparison(graph, schedule, generator: GeneratorConfig, r_target,
@@ -380,16 +353,20 @@ def bench(graph: KnowledgeGraph, subgraph: TaskSubgraph, n_samples: int = 1000,
         return BenchReport(n_samples, len(subgraph.assignments), *[0.0] * 6, seed)
     per_class, extra = divmod(n_samples, len(assigned))
     session = Session.build(subgraph, GeneratorConfig(seed=seed, **_BENCH_GENERATOR),
-                           HashingEncoder(), "name", 0, None, False)
-    rows = [session.evaluate(name, per_class + (k < extra))
-            for k, name in enumerate(assigned[:n_samples])]
+                            HashingEncoder(), "name", 0)
+    chars, spent = 0, dict.fromkeys(TIMINGS, 0.0)
+    for k, name in enumerate(assigned[:n_samples]):
+        row = session.evaluate(name, per_class + (k < extra))
+        chars += sum(map(len, row["texts"]))
+        for key in TIMINGS:
+            spent[key] += row[key]
     paths = sum(len(a.paths) for a in subgraph.assignments.values())
     return BenchReport(
         samples=n_samples,
         classes=len(subgraph.assignments),
         mean_paths_per_class=paths / len(subgraph.assignments),
-        avg_text_length_chars=sum(r["chars"] for r in rows) / n_samples,
-        **{key: sum(r[key] for r in rows) / n_samples for key in TIMINGS},
+        avg_text_length_chars=chars / n_samples,
+        **{key: spent[key] / n_samples for key in TIMINGS},
         storage_mb=len(render_export(subgraph).encode("utf-8")) / 1_000_000.0,
         seed=seed,
     )

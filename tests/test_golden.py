@@ -37,6 +37,18 @@ def test_query_records_match_golden(golden, graph):
     assert gc.query_records(graph) == golden["query"]
 
 
+RECORD_KEYS = ["raw_text", "matched", "unmatched", "tally", "graph_head", "vote_tie",
+               "final_class", "similarity_tie", "top_similarities",
+               "order_seed", "session", "true_class", "sample"]
+
+
+def test_record_keys_keep_their_order(graph):
+    # the golden tests compare parsed dicts, which ignore key order; a record's line does not
+    records = gc.diagnostics_records(graph)
+    assert records and all(list(rec) == RECORD_KEYS for rec in records)
+    assert all(list(rec) == RECORD_KEYS[:9] for rec in gc.query_records(graph))
+
+
 def test_diff_paths_names_moved_leaves():
     old = {"a": [1, {"b": 2, "c": 3}], "d": {"e": 4}, "f": [1, 2]}
     new = {"a": [1, {"b": 2, "c": 5}], "d": {"e": 4, "g": 0}, "f": [1]}

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from kgcil import (
     run_experiment,
     run_paired_comparison,
 )
+from kgcil import harness
 from kgcil.harness import SIMULATION_CAVEAT, _even_chunks
 from kgcil.synthetic import class_name, synthetic_graph
 
@@ -296,6 +298,37 @@ class TestRunExperiment:
                            2, HashingEncoder(64), orders=[0], class_text_mode="vibes",
                            diagnostics_path=diag)
         assert diag.read_text(encoding="utf-8") == '{"kept": true}\n'  # checked before it opens
+
+
+class TestOneBatchAlive:
+    """A class batch is done with before the next class is ranked: a session holds no list
+    of batches, so a run's memory does not grow with its classes."""
+
+    @pytest.fixture
+    def alive(self, monkeypatch):
+        refs, real = [], harness.infer_batch
+
+        def infer_batch(texts, table):
+            assert sum(ref() is not None for ref in refs) <= 1
+            batch = real(texts, table)
+            refs.append(weakref.ref(batch))
+            return batch
+
+        monkeypatch.setattr(harness, "infer_batch", infer_batch)
+        return refs
+
+    @pytest.mark.parametrize("diagnostics", [False, True])
+    def test_run(self, alive, small_graph, small_schedule, tmp_path, diagnostics):
+        run_experiment(small_graph, small_schedule, GeneratorConfig(seed=1), 3,
+                       HashingEncoder(64), orders=[0],
+                       diagnostics_path=tmp_path / "d.jsonl" if diagnostics else None)
+        assert len(alive) == 4 + 8 + 12
+
+    def test_bench(self, alive, small_graph):
+        sub = TaskSubgraph(small_graph)
+        extend_subgraph(sub, [class_name(i) for i in range(6)], small_graph, 3)
+        bench(small_graph, sub, n_samples=50)
+        assert len(alive) == 6
 
 
 class TestPairedComparison:

@@ -20,6 +20,7 @@ from kgcil import (
     extend_subgraph,
     load_filler_templates,
     parse_triplets,
+    prediction_record,
     render_clause,
     render_training_text,
 )
@@ -327,7 +328,9 @@ def test_keyword_name_caption_votes_for_no_class():
     sub = TaskSubgraph(g)
     extend_subgraph(sub, ["isa-red", "c1"], g, 2)
     assert not sub.assignments[g.entity_id("isa-red")].paths
-    session = Session.build(sub, GeneratorConfig(seed=0), HashingEncoder(64), "name", 0, 0, True)
-    records = session.evaluate("isa-red", 3)["records"]
+    session = Session.build(sub, GeneratorConfig(seed=0), HashingEncoder(64), "name", 0)
+    row = session.evaluate("isa-red", 3)
+    records = [prediction_record(text, pred, g.relations)
+               for text, pred in zip(row["texts"], row["batch"].predictions())]
     assert [r["graph_head"] for r in records] == [None] * 3
     assert [r["matched"] for r in records] == [[]] * 3
