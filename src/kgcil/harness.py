@@ -35,8 +35,8 @@ SIMULATION_CAVEAT = (
 class TaskSchedule(Record):
     """Class list plus a split recipe; the split applies to a shuffled order.
 
-    A recipe that cannot split its own class list, or samples_per_class
-    below 1, raises ValueError here.
+    A recipe that cannot split its own class list, a class named twice
+    (after normalize_name), or samples_per_class below 1, raises ValueError here.
     """
 
     kind: str
@@ -51,6 +51,9 @@ class TaskSchedule(Record):
         if self.samples_per_class < 1:
             raise ValueError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
         self.classes = list(self.classes)
+        names = [normalize_name(c) for c in self.classes]
+        if len(set(names)) < len(names):
+            raise ValueError(f"class named twice: {next(n for n in names if names.count(n) > 1)!r}")
         self.split(self.classes)
 
     @classmethod
@@ -265,8 +268,7 @@ def run_experiment(graph: KnowledgeGraph, schedule: TaskSchedule,
                 for cname in seen:
                     row = session.evaluate(cname, n)
                     per_class[cname] = [row["correct"], n]
-                    for key in TIMINGS:
-                        spent[key] += row[key]
+                    spent = {key: spent[key] + row[key] for key in TIMINGS}
                     if diag:
                         where = {"order_seed": seed, "session": t, "true_class": cname}
                         diag.write("".join(
@@ -274,11 +276,12 @@ def run_experiment(graph: KnowledgeGraph, schedule: TaskSchedule,
                                         **where, "sample": s}) + "\n"
                             for s, (text, pred)
                             in enumerate(zip(row["texts"], row["batch"].predictions()))))
+                total = n * len(per_class)
                 out.append(SessionResult(
                     index=t, new_classes=list(new_classes), per_class=per_class,
-                    accuracy=sum(c for c, _ in per_class.values()) / (n * len(seen)),
+                    accuracy=sum(c for c, _ in per_class.values()) / total,
                     base_accuracy=sum(per_class[c][0] for c in base) / (n * len(base)),
-                    **{key: spent[key] / (n * len(seen)) for key in TIMINGS},
+                    **{key: spent[key] / total for key in TIMINGS},
                     subgraph_bytes=len(render_export(sub).encode("utf-8"))))
             results.append(OrderResult(seed=seed, sessions=out))
     finally:
@@ -358,8 +361,7 @@ def bench(graph: KnowledgeGraph, subgraph: TaskSubgraph, n_samples: int = 1000,
     for k, name in enumerate(assigned[:n_samples]):
         row = session.evaluate(name, per_class + (k < extra))
         chars += sum(map(len, row["texts"]))
-        for key in TIMINGS:
-            spent[key] += row[key]
+        spent = {key: spent[key] + row[key] for key in TIMINGS}
     paths = sum(len(a.paths) for a in subgraph.assignments.values())
     return BenchReport(
         samples=n_samples,

@@ -305,6 +305,16 @@ class TestRun:
         assert out == ""
         assert "n_tasks" in err
 
+    def test_class_named_twice_is_input_error(self, capsys, synth_tsv, tmp_path):
+        cfg = self.write_config(tmp_path, synth_tsv, diagnostics=True, schedule={
+            "kind": "b0", "classes": [class_name(i) for i in range(3)] + ["Class_001"],
+            "n_tasks": 4})
+        code, out, err = run_cli(capsys, "run", str(cfg))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "class named twice: 'class_001'" in err
+        assert not (tmp_path / "out").exists()  # rejected before any session runs
+
     def test_deprecated_shot_is_ignored(self, capsys, synth_tsv, tmp_path):
         cfg = self.write_config(
             tmp_path, synth_tsv, orders=[0],

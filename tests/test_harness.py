@@ -56,6 +56,18 @@ class TestSchedule:
         with pytest.raises(ValueError, match=f"samples_per_class must be >= 1, got {samples}"):
             TaskSchedule.b0([class_name(i) for i in range(6)], 2, samples_per_class=samples)
 
+    @pytest.mark.parametrize("twice", ["class_000", " CLASS_000"])
+    @pytest.mark.parametrize("make", [
+        lambda c: TaskSchedule.b0(c, 1),
+        lambda c: TaskSchedule.b0(c, 3),
+        lambda c: TaskSchedule.b100(c, 1, 2),
+    ])
+    def test_rejects_class_named_twice(self, make, twice):
+        # run scores a session over samples_per_class times its distinct classes;
+        # a repeat used to fail only at its session, after earlier sessions had run
+        with pytest.raises(ValueError, match="class named twice: 'class_000'"):
+            make(["class_000", "class_001", twice])
+
     def test_b0_rejects_too_many_tasks(self):
         with pytest.raises(ValueError):
             TaskSchedule.b0(["a", "b"], 3)
